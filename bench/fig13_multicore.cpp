@@ -16,9 +16,10 @@
  * ratios sit below 1; they are meaningful on real multicores.
  *
  * A third table measures the *native* parallel runtime: per-core
- * emitted sub-programs (codegen PartitionedLibrary shape) running
+ * emitted sub-programs (one Partition struct per core) running
  * over the same SPSC rings, normalized against the serial native
- * engine on the identical macro-SIMDized graph. Same hardware
+ * engine (the same shape with one partition) on the identical
+ * macro-SIMDized graph. Same hardware
  * caveat — compiled partitions spin on ring waits, so on a host
  * with one CPU every multi-thread ratio lands well below 1.
  */
@@ -123,7 +124,7 @@ nativeConfig()
 
 /**
  * Measured wall-clock microseconds for @p iters steady iterations on
- * the serial native engine (whole-program emitted library) at lane
+ * the serial native engine (one-partition emitted library) at lane
  * width 4 — the baseline the native table normalizes against.
  * Capture stays on (the emitted sink always captures), matching the
  * parallel native configuration so the ratios compare like with like.

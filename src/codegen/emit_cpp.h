@@ -11,33 +11,33 @@
  * (`ext_vector_type` on Clang, `vector_size` on GCC) rather than
  * scalar per-lane loops, tape FIFOs with the SAGU transposed
  * addressing where annotated (and contiguous vector copies on
- * untransposed vector endpoints), one struct per actor, and all
- * runtime state (tapes, actor instances, firing functions) gathered
- * into one `Program` struct. Two output shapes share that core:
+ * untransposed vector endpoints), one struct per actor, and the
+ * runtime state split along a multicore partition: one
+ * `struct Partition<k>` per core, each owning its core's actors, its
+ * intra-core tapes, and a ring-bindable Tape endpoint for every
+ * cross-core tape. A serial program is the one-partition case (no
+ * partition given: every actor on core 0, no crossing tape, and no
+ * ring support compiled in). Two output shapes wrap the partitions:
  *
- *  - Standalone: a main() that runs the init phase plus N steady
- *    iterations and prints the first K sink outputs and an
- *    order-independent 64-bit checksum over the raw lane bits.
- *  - Library: a stable `extern "C"` ABI (create/destroy/init/
- *    run-steady/capture export) for the native execution engine,
- *    which compiles the TU with the host compiler and dlopen()s it.
- *    Program instances are heap-allocated through the ABI, so one
- *    loaded shared object serves any number of independent runs.
- *  - PartitionedLibrary: the same core split along a multicore
- *    partition — one `struct Partition<k>` per core, each owning its
- *    core's actors, its intra-core tapes, and a ring-bindable Tape
- *    endpoint for every cross-core tape. The host creates one
- *    partition instance per core through the ABI, binds each crossing
- *    tape to an in-process SPSC ring (interp/spsc_queue.h) via the
- *    `MacrossRing` binding struct, runs the warm-up single-threaded
- *    through `macross_init_all`, and then drives each partition's
- *    steady slice from its own worker thread. Ring traffic follows
- *    the interpreter's protocol exactly: monotonic 64-bit logical
- *    indexes, acquire/release index publication, block-granular
- *    publication on SAGU-transposed endpoints, and an exact flush at
- *    batch barriers.
+ *  - Standalone: a main() over the one partition that runs the init
+ *    phase plus N steady iterations and prints the first K sink
+ *    outputs and an order-independent 64-bit checksum over the raw
+ *    lane bits.
+ *  - Library: a stable `extern "C"` ABI for the native execution
+ *    engine, which compiles the TU with the host compiler and
+ *    dlopen()s it. The host creates one partition instance per core
+ *    through the ABI (heap-allocated, so one loaded object serves any
+ *    number of independent runs), binds each crossing tape to an
+ *    in-process SPSC ring (interp/spsc_queue.h) via the `MacrossRing`
+ *    binding struct, runs the warm-up single-threaded through
+ *    `macross_init_all`, and then drives each partition's steady
+ *    slice, from its own worker thread when there are several. Ring
+ *    traffic follows the interpreter's protocol exactly: monotonic
+ *    64-bit logical indexes, acquire/release index publication,
+ *    block-granular publication on SAGU-transposed endpoints, and an
+ *    exact flush at batch barriers.
  *
- * All shapes must produce exactly the same output stream as the
+ * Both shapes must produce exactly the same output stream as the
  * interpreter (enforced by end-to-end tests and the native engine's
  * differential suites) unless the SimdSpec explicitly opts into
  * ULP-bounded divergence (see simd_spec.h for the exactness
@@ -56,36 +56,31 @@ namespace macross::codegen {
 
 /** Shape of the emitted translation unit. */
 enum class EmitMode {
-    Standalone,  ///< Self-contained program with a main().
-    Library,     ///< Shared-object ABI for the native engine.
-    /** Per-core sub-programs over extern SPSC ring endpoints, for the
-     *  parallel native runtime (one `struct Partition<k>` per core). */
-    PartitionedLibrary,
+    Standalone,  ///< Self-contained one-partition program with a main().
+    Library,     ///< Shared-object partition ABI for the native engine.
+    /** The same shape as Library, under its earlier name. */
+    PartitionedLibrary = Library,
 };
 
 /**
- * Version of the emitted `extern "C"` ABI (Library and
- * PartitionedLibrary modes).
+ * Version of the emitted `extern "C"` ABI (Library mode).
  *
- * v1 (PR 5): abi_version / create / destroy / init / run_steady /
- *            capture_size / capture_data.
- * v2 (PR 6): everything in v1, plus the SIMD lowering the object was
- *            built with — macross_simd_lanes() (lane width),
- *            macross_simd_isa() (ISA selector string), and
- *            macross_exact() (1 = bit-identical contract, 0 =
- *            ULP-bounded).
- * v3 (this PR): adds the partitioned surface. A Library-shaped object
- *            keeps exactly the v2 symbol set; a PartitionedLibrary
- *            object replaces the whole-program entry points with
- *            macross_num_partitions / macross_create_partition /
- *            macross_destroy_partition / macross_ring_bind /
- *            macross_init_all / macross_run_steady_partition /
- *            macross_flush_partition / macross_sink_partition, and
- *            its capture exports take the sink partition handle. Both
- *            shapes report version 3; the engine knows which shape it
- *            emitted (the object cache is keyed by the full source).
- *            Any other version is refused with a FatalError naming
- *            both.
+ * v1: abi_version / create / destroy / init / run_steady /
+ *     capture_size / capture_data.
+ * v2: everything in v1, plus the SIMD lowering the object was built
+ *     with — macross_simd_lanes() (lane width), macross_simd_isa()
+ *     (ISA selector string), and macross_exact() (1 = bit-identical
+ *     contract, 0 = ULP-bounded).
+ * v3: the partition surface replaces the whole-program entry points:
+ *     macross_abi_version / macross_simd_lanes / macross_simd_isa /
+ *     macross_exact, plus macross_num_partitions /
+ *     macross_create_partition / macross_destroy_partition /
+ *     macross_ring_bind / macross_init_all /
+ *     macross_run_steady_partition / macross_sink_partition, and the
+ *     capture exports macross_capture_size / macross_capture_data,
+ *     which take the sink partition's handle. Every object has this
+ *     one symbol set, serial (one partition) or parallel. Any other
+ *     version is refused with a FatalError naming both.
  */
 inline constexpr int kNativeAbiVersion = 3;
 
@@ -95,10 +90,11 @@ struct EmitOptions {
     int printFirst = 32;       ///< Sink elements echoed by main().
     EmitMode mode = EmitMode::Standalone;
     SimdSpec simd;             ///< Vector lowering (see simd_spec.h).
-    /** PartitionedLibrary only: number of cores (>= 1). */
+    /** Number of cores (>= 1); read only when partitionCoreOf is set. */
     int partitionCores = 0;
-    /** PartitionedLibrary only: core of each actor id (the greedy
-     *  partition's coreOf; size must equal the actor count). Kept as
+    /** Core of each actor id (the greedy partition's coreOf; size must
+     *  equal the actor count). Empty means one partition with every
+     *  actor on core 0, the only shape Standalone accepts. Kept as
      *  plain values so codegen does not depend on multicore/. */
     std::vector<int> partitionCoreOf;
 };

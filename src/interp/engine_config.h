@@ -31,11 +31,10 @@ enum class ExecEngine {
     Tree,      ///< Tree-walking Executor (reference oracle).
     Bytecode,  ///< Compiled register bytecode on the VM (default).
     /**
-     * Emitted C++ compiled by the host compiler and dlopen()ed.
-     * Serial runners use the whole-program Library shape
-     * (native/native_engine.h); ParallelRunner uses the per-core
-     * PartitionedLibrary shape (native/native_partitioned.h). Either
-     * way the shared object runs whole schedules, so Native cannot be
+     * Emitted C++ compiled by the host compiler and dlopen()ed
+     * (native/native_engine.h): one partition for serial runners, one
+     * per core for ParallelRunner. Either way the shared object runs
+     * whole schedules, so Native cannot be
      * a per-actor override, modeled cycles are not accumulated, and
      * wall-clock / compile-time numbers land in
      * statsToJson()["native"] instead.

@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "native/native_fault.h"
-#include "native/quarantine.h"
 #include "schedule/buffers.h"
 #include "support/diagnostics.h"
 #include "support/fault.h"
@@ -23,8 +22,8 @@ namespace macross::interp {
 namespace {
 
 /**
- * Under ExecEngine::Native the member Runner must never build the
- * whole-program shared object (the partitioned one replaces it), so
+ * Under ExecEngine::Native the member Runner must never build its own
+ * one-partition shared object (the partitioned one replaces it), so
  * it is constructed with the engine downgraded; config_ keeps Native
  * as the source of truth (and the serial fallback uses it verbatim).
  */
@@ -106,9 +105,9 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
     // interpreting tapes stay ring-free — nothing fires through
     // runner_ in this mode.
     if (native) {
-        native_ = std::make_unique<native::NativePartitionedProgram>(
-            g, s, part_.cores, part_.coreOf, config_.native,
-            config_.simd);
+        native_ = std::make_unique<native::NativeProgram>(
+            g, s, config_.native, config_.simd, part_.cores,
+            part_.coreOf);
         for (std::size_t i = 0; i < rings_.size(); ++i) {
             if (rings_[i])
                 native_->bindRing(static_cast<int>(i),
@@ -183,8 +182,8 @@ ParallelRunner::runInit()
     // publication makes whole blocks visible, which is all the SDF
     // init schedule ever consumes, so one thread suffices).
     if (native_) {
-        native_->initAll();
-        nativeCaptured_ = native_->captured();
+        native_->init();
+        native_->appendCaptured(nativeCaptured_);
         return;
     }
     runner_.runInit();
@@ -418,14 +417,17 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
     // is there is a prefix of the serial stream — but only a clean
     // shutdown guarantees nobody is still appending.
     std::vector<Value> prefix;
-    if (fault.cleanShutdown)
-        prefix = native_ ? native_->captured() : runner_.captured();
+    if (fault.cleanShutdown) {
+        if (native_)
+            native_->appendCaptured(nativeCaptured_);
+        prefix = captured();
+    }
 
     // 4. Fresh serial runner over the same graph/schedule/configs;
     // replay the entire steady history from scratch. Its cost sink
     // starts empty so the merged totals are the exact serial ones.
     // config_ is passed verbatim, so a native parallel run falls back
-    // to the whole-program serial native engine (Library shape — a
+    // to the serial native engine (the one-partition program — a
     // separate cached .so; native_ itself is never unloaded here,
     // because a detached worker could still be inside its code).
     if (cost_)
@@ -515,17 +517,10 @@ ParallelRunner::runSteady(int iterations)
     steadyIterations_ += iterations;
 
     // Batch barrier: workers are parked, so the emitted sink buffer is
-    // quiescent and can be snapshotted for captured().
+    // quiescent and its new elements can be mirrored for captured().
     if (native_) {
-        nativeCaptured_ = native_->captured();
-        // The recompiled-fresh entry survived real steady batches on
-        // every partition: lift the quarantine so future runs
-        // cache-hit again.
-        if (!quarCleared_ &&
-            native_->stats().quarantineFailures > 0) {
-            native::quarantine::clear(native_->stats().soPath);
-            quarCleared_ = true;
-        }
+        native_->endBatch();
+        native_->appendCaptured(nativeCaptured_);
     }
 
     if (cost_ && !native_) {
@@ -589,28 +584,7 @@ ParallelRunner::statsToJson() const
     // engine and build stats come from the partitioned program.
     if (native_ && !fallback_) {
         root["engine"] = toString(ExecEngine::Native);
-        const native::NativeStats& st = native_->stats();
-        json::Value nat = json::Value::object();
-        nat["compiler"] = st.compiler;
-        nat["flags"] = st.flags;
-        nat["soPath"] = st.soPath;
-        nat["sourceHash"] = static_cast<std::int64_t>(st.sourceHash);
-        nat["cacheHit"] = st.cacheHit;
-        nat["compileMillis"] = st.compileMillis;
-        nat["compileAttempts"] = st.compileAttempts;
-        nat["abiVersion"] = st.abiVersion;
-        nat["exact"] = st.exact;
-        json::Value simd = json::Value::object();
-        simd["laneWidth"] = st.simdLanes;
-        simd["isa"] = st.simdIsa;
-        simd["fallback"] = st.simdFallback;
-        nat["simd"] = std::move(simd);
-        if (st.quarantineFailures > 0) {
-            json::Value q = json::Value::object();
-            q["failures"] = st.quarantineFailures;
-            q["reason"] = st.quarantineReason;
-            nat["quarantine"] = std::move(q);
-        }
+        json::Value nat = native_->stats().toJson();
         nat["degradeMode"] = toString(config_.degrade);
         root["native"] = std::move(nat);
     }

@@ -16,14 +16,14 @@
  *
  * Engines: the interpreting engines (tree, bytecode) fire through a
  * shared Runner with per-worker VM state. ExecEngine::Native instead
- * compiles ONE partitioned shared object (codegen
- * EmitMode::PartitionedLibrary via native::NativePartitionedProgram):
- * each worker drives its core's emitted sub-program, and the same
- * SPSC rings back the cross-core tapes — emitted code follows the
- * interpreter's ring protocol instruction for instruction, so the
- * watchdog, fault injection, and serial-fallback machinery below work
- * unchanged (the fallback replays through the whole-program serial
- * native engine and is verified bitwise against the parallel prefix).
+ * compiles ONE partitioned shared object (native::NativeProgram over
+ * the partition): each worker drives its core's emitted sub-program,
+ * and the same SPSC rings back the cross-core tapes — emitted code
+ * follows the interpreter's ring protocol instruction for
+ * instruction, so the watchdog, fault injection, and serial-fallback
+ * machinery below work unchanged (the fallback replays through the
+ * serial native engine, the one-partition program, and is verified
+ * bitwise against the parallel prefix).
  *
  * Determinism: output bytes and modeled per-actor cycles are
  * bit-identical to the single-threaded Runner at any thread count.
@@ -50,7 +50,7 @@
 #include "interp/runner.h"
 #include "interp/spsc_queue.h"
 #include "multicore/partition.h"
-#include "native/native_partitioned.h"
+#include "native/native_engine.h"
 
 namespace macross::interp {
 
@@ -127,7 +127,7 @@ class ParallelRunner {
      *               cycles, so the sink is left untouched there.
      * @param config Engine configuration. ExecEngine::Native compiles
      *               one partitioned shared object
-     *               (native::NativePartitionedProgram) whose per-core
+     *               (native::NativeProgram) whose per-core
      *               sub-programs the workers drive over the same SPSC
      *               rings the interpreting engines use.
      */
@@ -298,8 +298,8 @@ class ParallelRunner {
     std::vector<std::unique_ptr<Worker>> workers_;
 
     /** Compiled per-core sub-programs (ExecEngine::Native only). */
-    std::unique_ptr<native::NativePartitionedProgram> native_;
-    /** Sink snapshot from native_, refreshed at batch barriers so
+    std::unique_ptr<native::NativeProgram> native_;
+    /** Sink mirror of native_, extended at batch barriers so
      *  captured() can hand out a stable reference. */
     std::vector<Value> nativeCaptured_;
 
@@ -311,8 +311,6 @@ class ParallelRunner {
     std::vector<ParallelFault> faults_;
     /** Structured native faults from the partitioned program. */
     std::vector<native::NativeFaultRecord> nativeFaults_;
-    /** Quarantine sidecar cleared after the first clean batch. */
-    bool quarCleared_ = false;
     std::unique_ptr<machine::CostSink> fallbackCost_;
     std::unique_ptr<Runner> fallback_;
 

@@ -221,9 +221,9 @@ Runner::buildLadder()
 void
 Runner::degradeFromNative(std::int64_t completed_iters)
 {
-    // The last successful batch boundary: runSteady mirrors
-    // native_->captured() only after a healthy batch, and the crashed
-    // one never updated it, so this is a clean prefix of the serial
+    // The last successful batch boundary: runSteady appends the
+    // native capture only after a healthy batch, and the crashed one
+    // never updated it, so this is a clean prefix of the serial
     // stream even though the emitted program's own state is garbage.
     std::vector<Value> prefix = std::move(captured_);
     captured_.clear();
@@ -333,32 +333,8 @@ Runner::appendNativeStats(json::Value& root) const
 {
     if (!native_ && nativeFaults_.empty() && !degraded_)
         return;
-    json::Value nat = json::Value::object();
-    if (native_) {
-        const native::NativeStats& st = native_->stats();
-        nat["compiler"] = st.compiler;
-        nat["flags"] = st.flags;
-        nat["soPath"] = st.soPath;
-        nat["sourceHash"] = static_cast<std::int64_t>(st.sourceHash);
-        nat["cacheHit"] = st.cacheHit;
-        nat["coalesced"] = st.coalesced;
-        nat["compileMillis"] = st.compileMillis;
-        nat["compileAttempts"] = st.compileAttempts;
-        nat["steadyWallMicros"] = st.steadyWallMicros;
-        nat["abiVersion"] = st.abiVersion;
-        nat["exact"] = st.exact;
-        json::Value simd = json::Value::object();
-        simd["laneWidth"] = st.simdLanes;
-        simd["isa"] = st.simdIsa;
-        simd["fallback"] = st.simdFallback;
-        nat["simd"] = std::move(simd);
-        if (st.quarantineFailures > 0) {
-            json::Value q = json::Value::object();
-            q["failures"] = st.quarantineFailures;
-            q["reason"] = st.quarantineReason;
-            nat["quarantine"] = std::move(q);
-        }
-    }
+    json::Value nat =
+        native_ ? native_->stats().toJson() : json::Value::object();
     if (config_.engine == ExecEngine::Native)
         nat["degradeMode"] = toString(config_.degrade);
     json::Value faults = json::Value::array();
@@ -602,10 +578,11 @@ Runner::runInit()
     panicIf(initDone_, "runInit called twice");
     initDone_ = true;
 
-    // Native engine: the emitted shared object owns the whole
-    // schedule. Build (or cache-load) it, run its init phase, and
-    // mirror the capture so captured() keeps its meaning. Modeled
-    // cycles are not accumulated — the native numbers are measured.
+    // Native engine: the emitted shared object (one partition) owns
+    // the whole schedule. Build (or cache-load) it, run its init
+    // phase, and mirror the capture so captured() keeps its meaning.
+    // Modeled cycles are not accumulated — the native numbers are
+    // measured.
     // Any typed native fault (compile, load, quarantine, or a crash
     // caught by the signal guards) either propagates (DegradeMode::Off)
     // or drops this runner one rung down the ladder.
@@ -621,7 +598,7 @@ Runner::runInit()
             degradeFromNative(0);
             return;
         }
-        captured_ = native_->captured();
+        native_->appendCaptured(captured_);
         if (trace_ && trace_->enabled()) {
             const native::NativeStats& st = native_->stats();
             json::Value payload = json::Value::object();
@@ -717,7 +694,7 @@ Runner::runSteady(int iterations)
             return;
         }
         steadyIters_ += iterations;
-        captured_ = native_->captured();
+        native_->appendCaptured(captured_);
         if (trace_ && trace_->enabled()) {
             trace_->count("interp.steadyIterations", iterations);
             json::Value payload = json::Value::object();

@@ -243,7 +243,7 @@ class Runner {
     std::vector<std::unique_ptr<bytecode::CompiledActor>> compiled_;
     std::vector<ActorFrame> frames_;
     Vm vm_;
-    /** Whole-program native backend (ExecEngine::Native only). */
+    /** One-partition native program (ExecEngine::Native only). */
     std::unique_ptr<native::NativeProgram> native_;
     /**
      * The next rung down: a bytecode Runner over the same graph and

@@ -1,16 +1,14 @@
 /**
  * @file
- * Internals shared by the native-engine program loaders: the
+ * Internals of the native-engine program loader: the
  * compile-or-cache-load flow (content-hashed .so cache, atomic
  * install, foreign-ABI refusal) plus the small file/shell helpers it
  * is built from.
  *
- * NativeProgram (whole-program Library shape) and
- * NativePartitionedProgram (per-core PartitionedLibrary shape) differ
- * only in the symbol set they bind — both shapes share one cache
- * directory, one hashing scheme, and one install discipline, so the
- * flow lives here once and takes the shape-specific binding as a
- * callback.
+ * NativeProgram loads every emitted object, serial (one partition) or
+ * parallel, through this one flow: one cache directory, one hashing
+ * scheme, and one install discipline. The flow takes the symbol
+ * binding as a callback.
  */
 #pragma once
 
@@ -95,7 +93,8 @@ void compileOrLoadCached(
  * guard. A crash is recorded against @p so_path's quarantine sidecar
  * and rethrown as a structured NativeFaultError with
  * kind = Crash, the given @p phase ("init" / "steady"), the faulting
- * @p partition (-1 for the whole-program shape), and @p batch_index.
+ * @p partition (-1 when no single partition was running), and
+ * @p batch_index.
  */
 void runEmittedGuarded(const char* phase, int partition,
                        std::int64_t batch_index,

@@ -7,14 +7,14 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "codegen/emit_cpp.h"
+#include "interp/spsc_queue.h"
 #include "native/compile_exec.h"
 #include "native/native_cache.h"
 #include "native/native_fault.h"
@@ -47,6 +47,21 @@ commandExists(const std::string& cmd)
     limits.wallMs = 15000;
     limits.maxAttempts = 2;
     return runCommand({cmd, "--version"}, limits).ok();
+}
+
+/**
+ * The fail() callback emitted wait loops call when a ring wait is
+ * aborted (watchdog shutdown) or times out. ctx carries the tape id.
+ * PanicError unwinds through the emitted frames into the worker's
+ * batch loop, which parks the worker — the same path an interp
+ * worker takes out of SpscRing::waitSlow.
+ */
+[[noreturn]] void
+ringFail(void* ctx, const char* msg)
+{
+    panic("native partition ring (tape ",
+          static_cast<long long>(reinterpret_cast<std::intptr_t>(ctx)),
+          "): ", msg);
 }
 
 } // namespace
@@ -126,11 +141,43 @@ resolveCacheDir(const NativeOptions& opts)
     return dir;
 }
 
+json::Value
+NativeStats::toJson() const
+{
+    json::Value nat = json::Value::object();
+    nat["compiler"] = compiler;
+    nat["flags"] = flags;
+    nat["soPath"] = soPath;
+    nat["sourceHash"] = static_cast<std::int64_t>(sourceHash);
+    nat["cacheHit"] = cacheHit;
+    nat["coalesced"] = coalesced;
+    nat["compileMillis"] = compileMillis;
+    nat["compileAttempts"] = compileAttempts;
+    nat["steadyWallMicros"] = steadyWallMicros;
+    nat["abiVersion"] = abiVersion;
+    nat["exact"] = exact;
+    json::Value simd = json::Value::object();
+    simd["laneWidth"] = simdLanes;
+    simd["isa"] = simdIsa;
+    simd["fallback"] = simdFallback;
+    nat["simd"] = std::move(simd);
+    if (quarantineFailures > 0) {
+        json::Value q = json::Value::object();
+        q["failures"] = quarantineFailures;
+        q["reason"] = quarantineReason;
+        nat["quarantine"] = std::move(q);
+    }
+    return nat;
+}
+
 NativeProgram::NativeProgram(const graph::FlatGraph& g,
                              const schedule::Schedule& s,
                              const NativeOptions& opts,
-                             const codegen::SimdSpec& spec)
+                             const codegen::SimdSpec& spec, int cores,
+                             const std::vector<int>& core_of)
+    : cores_(cores)
 {
+    fatalIf(cores_ < 1, "native engine: cores must be >= 1");
     for (const auto& a : g.actors) {
         if (a.isFilter() && a.outputs.empty() && !a.inputs.empty()) {
             hasSink_ = true;
@@ -157,7 +204,31 @@ NativeProgram::NativeProgram(const graph::FlatGraph& g,
     codegen::EmitOptions eo;
     eo.mode = codegen::EmitMode::Library;
     eo.simd = spec_;
-    compileAndLoad(opts, codegen::emitCpp(g, s, eo));
+    eo.partitionCores = cores_;
+    eo.partitionCoreOf = core_of;
+    const std::string source = codegen::emitCpp(g, s, eo);
+
+    detail::compileOrLoadCached(
+        opts, spec_, source, &stats_,
+        [this](const std::string& so, int* abi) {
+            return tryBind(so, abi);
+        });
+
+    fatalIf(numPartitions_() != cores_, "native engine: object reports ",
+            numPartitions_(), " partitions, expected ", cores_);
+    parts_.resize(static_cast<std::size_t>(cores_), nullptr);
+    for (int k = 0; k < cores_; ++k) {
+        detail::runEmittedGuarded(
+            "init", k, /*batch_index=*/-1, stats_.soPath, [&] {
+                parts_[static_cast<std::size_t>(k)] =
+                    createPartition_(k);
+            });
+        fatalIf(!parts_[static_cast<std::size_t>(k)],
+                "native engine: create_partition(", k,
+                ") returned null");
+    }
+    wallMicros_.assign(static_cast<std::size_t>(cores_), 0.0);
+    batches_.assign(static_cast<std::size_t>(cores_), 0);
 }
 
 NativeProgram::~NativeProgram()
@@ -168,24 +239,32 @@ NativeProgram::~NativeProgram()
 void
 NativeProgram::unload()
 {
-    if (ctx_ && destroy_) {
-        // A program that already crashed may crash again in its
-        // destructor; swallow it — the state is abandoned either way.
-        (void)signal_guard::run([&] { destroy_(ctx_); });
+    if (destroyPartition_) {
+        for (void* p : parts_) {
+            // A partition that already crashed may crash again in its
+            // destructor; swallow it — the state is abandoned anyway.
+            if (p)
+                (void)signal_guard::run(
+                    [&] { destroyPartition_(p); });
+        }
     }
-    ctx_ = nullptr;
+    parts_.clear();
     if (handle_)
         ::dlclose(handle_);
     handle_ = nullptr;
-    create_ = nullptr;
-    destroy_ = nullptr;
-    init_ = nullptr;
-    runSteady_ = nullptr;
+    numPartitions_ = nullptr;
+    createPartition_ = nullptr;
+    destroyPartition_ = nullptr;
+    ringBind_ = nullptr;
+    initAll_ = nullptr;
+    runSteadyPartition_ = nullptr;
+    sinkPartition_ = nullptr;
     captureSize_ = nullptr;
     captureData_ = nullptr;
 }
 
-NativeProgram::BindStatus
+/** Bind the ABI v3 surface of @p so_path; fully unloads on failure. */
+detail::BindStatus
 NativeProgram::tryBind(const std::string& so_path, int* found_abi)
 {
     unload();
@@ -194,17 +273,18 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
     // Chaos hook: a failed dlopen is indistinguishable from a
     // truncated cache entry — the recompile path must absorb it.
     if (support::FaultInjector::fire("native.dlopen.fail"))
-        return BindStatus::LoadFailed;
+        return detail::BindStatus::LoadFailed;
     handle_ = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (!handle_)
-        return BindStatus::LoadFailed;
+        return detail::BindStatus::LoadFailed;
     auto sym = [&](const char* name) {
         return ::dlsym(handle_, name);
     };
-    auto* abi = reinterpret_cast<int (*)()>(sym("macross_abi_version"));
+    auto* abi =
+        reinterpret_cast<int (*)()>(sym("macross_abi_version"));
     if (!abi) {
         unload();
-        return BindStatus::LoadFailed;
+        return detail::BindStatus::LoadFailed;
     }
     const int version = abi();
     if (found_abi)
@@ -214,34 +294,37 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
         // reported upward, not recompiled over: the cache key covers
         // the emitted source, so this is version skew, not staleness.
         unload();
-        return BindStatus::AbiMismatch;
+        return detail::BindStatus::AbiMismatch;
     }
-    auto* simdLanes = reinterpret_cast<int (*)()>(
-        sym("macross_simd_lanes"));
+    auto* simdLanes =
+        reinterpret_cast<int (*)()>(sym("macross_simd_lanes"));
     auto* simdIsa = reinterpret_cast<const char* (*)()>(
         sym("macross_simd_isa"));
     auto* exact = reinterpret_cast<int (*)()>(sym("macross_exact"));
-    create_ = reinterpret_cast<void* (*)()>(sym("macross_create"));
-    destroy_ = reinterpret_cast<void (*)(void*)>(sym("macross_destroy"));
-    init_ = reinterpret_cast<void (*)(void*)>(sym("macross_init"));
-    runSteady_ = reinterpret_cast<void (*)(void*, int)>(
-        sym("macross_run_steady"));
+    numPartitions_ =
+        reinterpret_cast<int (*)()>(sym("macross_num_partitions"));
+    createPartition_ = reinterpret_cast<void* (*)(int)>(
+        sym("macross_create_partition"));
+    destroyPartition_ = reinterpret_cast<void (*)(void*)>(
+        sym("macross_destroy_partition"));
+    ringBind_ = reinterpret_cast<int (*)(void*, int, void*)>(
+        sym("macross_ring_bind"));
+    initAll_ = reinterpret_cast<void (*)(void**, int)>(
+        sym("macross_init_all"));
+    runSteadyPartition_ = reinterpret_cast<void (*)(void*, int)>(
+        sym("macross_run_steady_partition"));
+    sinkPartition_ =
+        reinterpret_cast<int (*)()>(sym("macross_sink_partition"));
     captureSize_ = reinterpret_cast<unsigned long long (*)(void*)>(
         sym("macross_capture_size"));
     captureData_ = reinterpret_cast<const unsigned int* (*)(void*)>(
         sym("macross_capture_data"));
-    if (!simdLanes || !simdIsa || !exact || !create_ || !destroy_ ||
-        !init_ || !runSteady_ || !captureSize_ || !captureData_) {
+    if (!simdLanes || !simdIsa || !exact || !numPartitions_ ||
+        !createPartition_ || !destroyPartition_ || !ringBind_ ||
+        !initAll_ || !runSteadyPartition_ || !sinkPartition_ ||
+        !captureSize_ || !captureData_) {
         unload();
-        return BindStatus::LoadFailed;
-    }
-    // create_() is the first entry into the object's code; a crash
-    // here (corrupted object, hostile static data) maps to a plain
-    // load failure so the recompile-once path absorbs it.
-    const auto crash = signal_guard::run([&] { ctx_ = create_(); });
-    if (crash || !ctx_) {
-        unload();
-        return BindStatus::LoadFailed;
+        return detail::BindStatus::LoadFailed;
     }
     // Record the lowering the object itself reports — the loaded .so,
     // not the request, is the ground truth for stats.
@@ -249,26 +332,33 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
     stats_.simdLanes = simdLanes();
     stats_.simdIsa = simdIsa();
     stats_.exact = exact() != 0;
-    return BindStatus::Ok;
+    return detail::BindStatus::Ok;
 }
 
 void
-NativeProgram::compileAndLoad(const NativeOptions& opts,
-                              const std::string& source)
+NativeProgram::bindRing(int tape_id, interp::SpscRing* ring)
 {
-    detail::compileOrLoadCached(
-        opts, spec_, source, &stats_,
-        [this](const std::string& so, int* abi) {
-            switch (tryBind(so, abi)) {
-              case BindStatus::Ok:
-                return detail::BindStatus::Ok;
-              case BindStatus::AbiMismatch:
-                return detail::BindStatus::AbiMismatch;
-              case BindStatus::LoadFailed:
-                break;
-            }
-            return detail::BindStatus::LoadFailed;
-        });
+    panicIf(initDone_, "native engine: bindRing after init");
+    bindings_.push_back(RingBinding{
+        ring->slotsData(),
+        static_cast<long long>(ring->mask()),
+        // atomic<int64_t> is layout-transparent plain 64-bit storage
+        // (static_asserts in spsc_queue.h); emitted code accesses it
+        // with __atomic builtins at the same acquire/release orders
+        // the interpreter uses.
+        reinterpret_cast<long long*>(ring->tailAtomic()),
+        reinterpret_cast<long long*>(ring->headAtomic()),
+        static_cast<long long>(ring->headBlock()),
+        static_cast<long long>(ring->tailBlock()),
+        reinterpret_cast<unsigned char*>(ring->abortedFlag()),
+        reinterpret_cast<void*>(static_cast<std::intptr_t>(tape_id)),
+        &ringFail,
+    });
+    int bound = 0;
+    for (void* p : parts_)
+        bound += ringBind_(p, tape_id, &bindings_.back());
+    panicIf(bound != 2, "native engine: tape ", tape_id, " bound by ",
+            bound, " partitions (expected producer + consumer)");
 }
 
 void
@@ -276,62 +366,89 @@ NativeProgram::init()
 {
     panicIf(initDone_, "NativeProgram::init called twice");
     initDone_ = true;
-    detail::runEmittedGuarded("init", /*partition=*/-1,
-                              /*batch_index=*/-1, stats_.soPath,
-                              [&] { init_(ctx_); });
+    // The warm-up of several partitions is not one partition's fault.
+    detail::runEmittedGuarded(
+        "init", cores_ == 1 ? 0 : -1, /*batch_index=*/-1,
+        stats_.soPath, [&] { initAll_(parts_.data(), cores_); });
 }
 
 void
 NativeProgram::runSteady(int iterations)
 {
-    if (!initDone_)
-        init();
+    panicIf(cores_ != 1, "NativeProgram::runSteady drives one "
+            "partition; this program has ", cores_);
+    runSteadyPartition(0, iterations);
+    endBatch();
+}
+
+void
+NativeProgram::runSteadyPartition(int core, int iterations)
+{
+    panicIf(!initDone_, "native engine: steady run before init");
+    const auto k = static_cast<std::size_t>(core);
     auto t0 = std::chrono::steady_clock::now();
     detail::runEmittedGuarded(
-        "steady", /*partition=*/-1, steadyBatches_, stats_.soPath,
-        [&] {
+        "steady", core, batches_[k], stats_.soPath, [&] {
             // Chaos hook: the armed action crashes this thread inside
-            // the guarded region (payload = partition, -1 = serial),
-            // before emitted state mutates — the captured prefix
-            // stays a clean batch boundary.
-            std::int64_t part = -1;
+            // the guarded region, before emitted state mutates; the
+            // payload carries the core id so a test can target one
+            // partition of many.
+            std::int64_t part = core;
             support::FaultInjector::fire("native.steady.crash",
                                          &part);
-            runSteady_(ctx_, iterations);
+            runSteadyPartition_(parts_[k], iterations);
         });
-    ++steadyBatches_;
-    stats_.steadyWallMicros +=
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    // The recompiled-fresh entry ran a steady batch cleanly: lift the
-    // quarantine so future runs cache-hit again.
-    if (!quarantineCleared_ && stats_.quarantineFailures > 0) {
-        quarantine::clear(stats_.soPath);
-        quarantineCleared_ = true;
+    ++batches_[k];
+    wallMicros_[k] += std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+}
+
+void
+NativeProgram::endBatch()
+{
+    stats_.steadyWallMicros =
+        *std::max_element(wallMicros_.begin(), wallMicros_.end());
+    if (quarantineCleared_ || stats_.quarantineFailures == 0)
+        return;
+    for (std::int64_t b : batches_) {
+        if (b == 0)
+            return;
     }
+    quarantine::clear(stats_.soPath);
+    quarantineCleared_ = true;
 }
 
 std::size_t
 NativeProgram::capturedSize() const
 {
-    return static_cast<std::size_t>(captureSize_(ctx_));
+    const int sinkCore = hasSink_ ? sinkPartition_() : -1;
+    if (sinkCore < 0)
+        return 0;
+    return static_cast<std::size_t>(
+        captureSize_(parts_[static_cast<std::size_t>(sinkCore)]));
+}
+
+void
+NativeProgram::appendCaptured(std::vector<interp::Value>& out) const
+{
+    const std::size_t n = capturedSize();
+    if (n <= out.size())
+        return;
+    const unsigned int* data =
+        captureData_(parts_[static_cast<std::size_t>(sinkPartition_())]);
+    for (std::size_t i = out.size(); i < n; ++i) {
+        interp::Value v = interp::Value::zero(sinkElem_);
+        v.setRawBits(0, data[i]);
+        out.push_back(v);
+    }
 }
 
 std::vector<interp::Value>
 NativeProgram::captured() const
 {
     std::vector<interp::Value> out;
-    if (!hasSink_)
-        return out;
-    const std::size_t n = capturedSize();
-    const unsigned int* data = captureData_(ctx_);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        interp::Value v = interp::Value::zero(sinkElem_);
-        v.setRawBits(0, data[i]);
-        out.push_back(v);
-    }
+    appendCaptured(out);
     return out;
 }
 

@@ -6,24 +6,36 @@
  * The paper's evaluation compiles MacroSS output with ICC and runs it
  * on real hardware; this engine closes the same loop for the
  * reproduction. A NativeProgram takes a compiled (possibly SIMDized)
- * flat graph plus its schedule and a codegen::SimdSpec, emits the
- * library-shaped translation unit (codegen::EmitMode::Library) with
- * the spec's true-SIMD vector layer, invokes the host C++ compiler
- * (`-O3 -march=native` by default; SimdSpec.isa != "auto" appends an
- * explicit -march), dlopen()s the resulting shared object, and drives
- * the steady state natively through a stable C ABI (v3, Library
- * shape; the partitioned shape lives in native_partitioned.h):
+ * flat graph plus its schedule, a multicore partition (none for a
+ * serial run, which is the one-partition case) and a
+ * codegen::SimdSpec, emits the Library-shaped translation unit
+ * (codegen::EmitMode::Library: one `struct Partition<k>` per core)
+ * with the spec's true-SIMD vector layer, invokes the host C++
+ * compiler (`-O3 -march=native` by default; SimdSpec.isa != "auto"
+ * appends an explicit -march), dlopen()s the resulting shared object,
+ * and binds the ABI v3 partition surface:
  *
- *     int          macross_abi_version();            // == 3
- *     int          macross_simd_lanes();             // emitted width
- *     const char*  macross_simd_isa();               // ISA selector
- *     int          macross_exact();                  // 1 = bit-exact
- *     void*        macross_create();                 // heap Program
- *     void         macross_destroy(void*);
- *     void         macross_init(void*);              // init + warm-up
- *     void         macross_run_steady(void*, int);   // N iterations
- *     u64          macross_capture_size(void*);      // sink elements
- *     const u32*   macross_capture_data(void*);      // raw lane bits
+ *     int   macross_abi_version();                  // == 3
+ *     int   macross_simd_lanes() / _simd_isa() / _exact();
+ *     int   macross_num_partitions();
+ *     void* macross_create_partition(int core);     // PartitionBase*
+ *     void  macross_destroy_partition(void*);
+ *     int   macross_ring_bind(void*, int tape, void* ring);
+ *     void  macross_init_all(void** handles, int n);
+ *     void  macross_run_steady_partition(void*, int iters);
+ *     int   macross_sink_partition();               // -1 = no sink
+ *     u64   macross_capture_size(void* sink_handle);
+ *     const u32* macross_capture_data(void* sink_handle);
+ *
+ * The host creates one partition instance per core, binds every
+ * cross-core tape to an in-process interp::SpscRing via bindRing() —
+ * which materializes the ABI's MacrossRing binding struct from the
+ * ring's raw accessors — runs the warm-up single-threaded via init(),
+ * and then runs each core's steady slice: runSteady() for a serial
+ * program, runSteadyPartition() from each core's worker thread for a
+ * parallel one (interp::ParallelRunner). Emitted code follows the
+ * interpreter's ring protocol exactly, so the output stream is
+ * bit-identical to every serial engine.
  *
  * Runtime ISA dispatch: before emitting, the engine probes the host
  * (simd_probe.h) and, if the requested lane width exceeds what the
@@ -31,25 +43,25 @@
  * NativeStats.simdFallback, never silent, never a SIGILL.
  *
  * Shared objects are cached by a 64-bit content hash of the emitted
- * source, the compiler, the flags, and the effective SimdSpec, in a
- * directory resolved from MACROSS_CACHE_DIR (default: a per-user
- * directory under the system temp dir). A cache hit skips the compile
- * entirely; an unloadable or symbol-incomplete entry is deleted and
- * recompiled once, but an entry that loads and then reports a foreign
- * ABI version is a FatalError naming both versions — the cache key
- * covers the emitted source, so version skew at the expected path
- * means toolchain or cache tampering, not staleness. Compiles go
- * through a unique temp file plus an atomic rename, so concurrent
- * processes sharing one cache directory race benignly.
+ * source, the compiler, the flags, and the effective SimdSpec
+ * (native_cache.h). The partition is part of the emitted source, so
+ * the key covers it too.
  *
  * The captured sink stream is exported as raw 32-bit lanes and boxed
  * back into interp::Value with the sink tape's element type, so the
  * comparison against the bytecode VM and the tree executor is
  * bit-exact, not approximate.
+ *
+ * Shutdown: SpscRing::abortWaits() makes emitted wait loops call the
+ * binding's fail() callback, which panics host-side; the PanicError
+ * unwinds through the emitted frames (compiled with exceptions
+ * enabled) into the worker's batch loop, exactly like an interp
+ * worker parked by the watchdog.
  */
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -57,8 +69,17 @@
 #include "graph/flat_graph.h"
 #include "interp/value.h"
 #include "schedule/steady_state.h"
+#include "support/json.h"
+
+namespace macross::interp {
+class SpscRing;
+}
 
 namespace macross::native {
+
+namespace detail {
+enum class BindStatus;  // native_cache.h
+}
 
 /** Host-compilation options. */
 struct NativeOptions {
@@ -118,7 +139,9 @@ struct NativeStats {
     bool coalesced = false;
     double compileMillis = 0.0; ///< Host-compiler wall time (0 on hit).
     int compileAttempts = 0;    ///< Spawn attempts (retries included).
-    double steadyWallMicros = 0.0;  ///< Accumulated native steady time.
+    /** Accumulated native steady time of the slowest partition (the
+     *  only one for a serial program), as of the last batch barrier. */
+    double steadyWallMicros = 0.0;
     int abiVersion = 0;         ///< ABI version the loaded .so reports.
     int simdLanes = 0;          ///< Lane width the .so was built with.
     std::string simdIsa;        ///< ISA selector the .so was built with.
@@ -128,6 +151,9 @@ struct NativeStats {
      *  was consulted (1 = recompiled fresh on the retry path). */
     std::int64_t quarantineFailures = 0;
     std::string quarantineReason;  ///< Last recorded crash diagnostic.
+
+    /** The run.stats.native build block (quarantine only if any). */
+    json::Value toJson() const;
 };
 
 /**
@@ -150,33 +176,74 @@ class NativeProgram {
   public:
     /**
      * Emit with @p spec (after probe-based fallback, see file
-     * comment), compile (or cache-load), and bind @p g under @p s.
-     * Fatal on a missing compiler, a failed host compile (with the
-     * compiler's diagnostics in the message), or an ABI-version
-     * mismatch in the loaded object.
+     * comment) for the partition @p core_of over @p cores, compile (or
+     * cache-load) it, and create one partition instance per core. An
+     * empty @p core_of is the serial program: one partition holding
+     * every actor. Fatal on a missing compiler, a failed host compile
+     * (with the compiler's diagnostics in the message), or an
+     * ABI-version mismatch in the loaded object.
      */
     NativeProgram(const graph::FlatGraph& g,
                   const schedule::Schedule& s,
                   const NativeOptions& opts = {},
-                  const codegen::SimdSpec& spec = {});
+                  const codegen::SimdSpec& spec = {}, int cores = 1,
+                  const std::vector<int>& core_of = {});
     ~NativeProgram();
 
     NativeProgram(const NativeProgram&) = delete;
     NativeProgram& operator=(const NativeProgram&) = delete;
 
-    /** Run the init phase (actor init bodies + warm-up firings). */
+    int partitions() const { return cores_; }
+
+    /**
+     * Bind cross-core tape @p tape_id to @p ring on every partition
+     * that touches it (producer and consumer side each hold their own
+     * emitted endpoint). Must happen before init(); panics if the
+     * emitted object does not know the tape as a crossing tape.
+     */
+    void bindRing(int tape_id, interp::SpscRing* ring);
+
+    /**
+     * Run setup + the single-threaded warm-up (actor init bodies and
+     * init-phase firings in schedule order across all partitions).
+     * Panics if called twice.
+     */
     void init();
 
-    /** Run @p iterations steady-state iterations natively. */
+    bool initDone() const { return initDone_; }
+
+    /** Run @p iterations steady iterations of a one-partition program,
+     *  then endBatch(). */
     void runSteady(int iterations);
 
-    /** Sink elements captured so far (init phase included). */
+    /**
+     * Run @p iterations steady iterations of core @p core's slice
+     * (ends with an exact ring flush). Called from that core's worker
+     * thread; different cores may run concurrently, the same core may
+     * not. Writes only @p core's own counters.
+     */
+    void runSteadyPartition(int core, int iterations);
+
+    /**
+     * Batch-barrier bookkeeping, with no partition running: publish
+     * the slowest partition's wall time as stats().steadyWallMicros,
+     * and lift the cache entry's quarantine once every partition has
+     * finished a clean batch (the recompiled-fresh object proved
+     * itself, so future runs cache-hit again).
+     */
+    void endBatch();
+
+    /** Sink elements captured so far. Safe only at batch barriers. */
     std::size_t capturedSize() const;
 
     /**
-     * The captured sink stream, boxed as interp::Value with the sink
-     * tape's element type (bit-exact against the interpreter).
+     * Box the sink elements past @p out's current size onto @p out,
+     * with the sink tape's element type (bit-exact against every
+     * serial engine). Safe only at batch barriers.
      */
+    void appendCaptured(std::vector<interp::Value>& out) const;
+
+    /** The whole captured sink stream, boxed (see appendCaptured). */
     std::vector<interp::Value> captured() const;
 
     const NativeStats& stats() const { return stats_; }
@@ -184,31 +251,58 @@ class NativeProgram {
     /** The spec actually emitted (after probe fallback). */
     const codegen::SimdSpec& effectiveSpec() const { return spec_; }
 
-  private:
-    enum class BindStatus { Ok, LoadFailed, AbiMismatch };
+    /** Accumulated native steady wall time of @p core's partition. */
+    double steadyWallMicros(int core) const
+    {
+        return wallMicros_[static_cast<std::size_t>(core)];
+    }
 
-    void compileAndLoad(const NativeOptions& opts,
-                        const std::string& source);
-    BindStatus tryBind(const std::string& so_path, int* found_abi);
+  private:
+    /** Host mirror of the emitted MacrossRing (layout-matched). */
+    struct RingBinding {
+        std::uint32_t* slots;
+        long long mask;
+        long long* tail;
+        long long* head;
+        long long head_block;
+        long long tail_block;
+        unsigned char* aborted;
+        void* ctx;
+        void (*fail)(void* ctx, const char* msg);
+    };
+
+    detail::BindStatus tryBind(const std::string& so_path,
+                               int* found_abi);
     void unload();
 
     void* handle_ = nullptr;  ///< dlopen handle.
-    void* ctx_ = nullptr;     ///< Opaque Program* from macross_create.
+    std::vector<void*> parts_;  ///< One PartitionBase* per core.
 
     // Bound ABI entry points.
-    void* (*create_)() = nullptr;
-    void (*destroy_)(void*) = nullptr;
-    void (*init_)(void*) = nullptr;
-    void (*runSteady_)(void*, int) = nullptr;
+    int (*numPartitions_)() = nullptr;
+    void* (*createPartition_)(int) = nullptr;
+    void (*destroyPartition_)(void*) = nullptr;
+    int (*ringBind_)(void*, int, void*) = nullptr;
+    void (*initAll_)(void**, int) = nullptr;
+    void (*runSteadyPartition_)(void*, int) = nullptr;
+    int (*sinkPartition_)() = nullptr;
     unsigned long long (*captureSize_)(void*) = nullptr;
     const unsigned int* (*captureData_)(void*) = nullptr;
 
+    /** Binding structs live here: the emitted side keeps the pointer
+     *  for the program's lifetime, so storage must never move. */
+    std::deque<RingBinding> bindings_;
+
+    /** Per-core steady wall time and runSteadyPartition calls
+     *  completed (the batch index a crash on that core reports); each
+     *  slot is written only by its own core's worker. */
+    std::vector<double> wallMicros_;
+    std::vector<std::int64_t> batches_;
+    int cores_ = 0;
     ir::Type sinkElem_{ir::Scalar::Int32, 1};
     bool hasSink_ = false;
     bool initDone_ = false;
-    /** runSteady calls completed (the batch index a crash reports). */
-    std::int64_t steadyBatches_ = 0;
-    /** Quarantine sidecar cleared after the first clean steady run. */
+    /** Quarantine sidecar cleared (endBatch, main thread only). */
     bool quarantineCleared_ = false;
     codegen::SimdSpec spec_;
     NativeStats stats_;

@@ -60,8 +60,10 @@ struct NativeFaultRecord {
     /** signalName(signal), empty when signal == 0. */
     std::string signalName;
     /**
-     * Faulting partition for parallel native runs; -1 for the
-     * whole-program (serial) shape.
+     * Faulting partition (0 for a serial run, which is one
+     * partition); -1 when no single partition was running: compile,
+     * load and cache faults, and the warm-up of a multi-partition
+     * program.
      */
     int partition = -1;
     /**

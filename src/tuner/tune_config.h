@@ -49,7 +49,7 @@ struct TuneConfig {
     int laneWidth = 4;
     /** -march selector ("auto" inherits -march=native). */
     std::string isa = "auto";
-    /** Worker threads (1 = serial whole-program native). */
+    /** Worker threads (1 = serial native, one partition). */
     int threads = 1;
     /** Parallel batch size (0 = runtime default; threads > 1 only). */
     int batchIterations = 0;

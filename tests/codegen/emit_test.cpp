@@ -124,14 +124,28 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
         emitCpp(compiled.graph, compiled.schedule, opts);
     EXPECT_EQ(src.find("int main"), std::string::npos);
     EXPECT_NE(src.find("extern \"C\""), std::string::npos);
+    // A serial library is the one-partition shape: the partition
+    // symbol set, and none of the whole-program entry points.
     for (const char* sym :
          {"macross_abi_version", "macross_simd_lanes",
-          "macross_simd_isa", "macross_exact", "macross_create",
-          "macross_destroy", "macross_init", "macross_run_steady",
+          "macross_simd_isa", "macross_exact", "macross_num_partitions",
+          "macross_create_partition", "macross_destroy_partition",
+          "macross_ring_bind", "macross_init_all",
+          "macross_run_steady_partition", "macross_sink_partition",
           "macross_capture_size", "macross_capture_data"}) {
         EXPECT_NE(src.find(sym), std::string::npos)
             << "missing ABI symbol " << sym;
     }
+    for (const char* gone :
+         {"macross_create(", "macross_init(", "macross_run_steady(",
+          "struct Program"}) {
+        EXPECT_EQ(src.find(gone), std::string::npos)
+            << "whole-program symbol " << gone << " still emitted";
+    }
+    EXPECT_NE(src.find("int macross_num_partitions() { return 1; }"),
+              std::string::npos);
+    EXPECT_NE(src.find("struct Partition0"), std::string::npos);
+    EXPECT_EQ(src.find("struct Partition1"), std::string::npos);
     // The introspection symbols report the spec this object was
     // emitted under.
     EXPECT_NE(src.find("int macross_abi_version() { return 3; }"),
@@ -148,6 +162,50 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
         emitCpp(compiled.graph, compiled.schedule, ulp);
     EXPECT_NE(inexact.find("int macross_exact() { return 0; }"),
               std::string::npos);
+}
+
+TEST(Codegen, RingSupportOnlyWithACrossingTape)
+{
+    auto compiled =
+        vectorizer::compileScalar(benchmarks::makeRunningExample());
+    const std::size_t n = compiled.graph.actors.size();
+    const char* ringOn = "#define MACROSS_RING 1";
+
+    // One partition, or two with every actor on core 0: no tape
+    // crosses, so the tapes carry no ring test at all.
+    EmitOptions one;
+    one.mode = EmitMode::Library;
+    EXPECT_EQ(emitCpp(compiled.graph, compiled.schedule, one)
+                  .find(ringOn),
+              std::string::npos);
+    EmitOptions idle = one;
+    idle.partitionCores = 2;
+    idle.partitionCoreOf.assign(n, 0);
+    std::string idleSrc =
+        emitCpp(compiled.graph, compiled.schedule, idle);
+    EXPECT_EQ(idleSrc.find(ringOn), std::string::npos);
+    EXPECT_NE(idleSrc.find("struct MacrossRing;"), std::string::npos);
+
+    // Two cores split down the pipeline: a tape crosses, and ring
+    // support is compiled in.
+    EmitOptions two = idle;
+    for (std::size_t i = n / 2; i < n; ++i)
+        two.partitionCoreOf[i] = 1;
+    bool crosses = false;
+    for (const auto& t : compiled.graph.tapes)
+        crosses |= two.partitionCoreOf[t.src] !=
+                   two.partitionCoreOf[t.dst];
+    ASSERT_TRUE(crosses);
+    std::string twoSrc = emitCpp(compiled.graph, compiled.schedule, two);
+    EXPECT_NE(twoSrc.find(ringOn), std::string::npos);
+    EXPECT_NE(twoSrc.find("struct Partition1"), std::string::npos);
+
+    // The standalone main() is one partition.
+    EmitOptions standalone = two;
+    standalone.mode = EmitMode::Standalone;
+    EXPECT_THROW(
+        emitCpp(compiled.graph, compiled.schedule, standalone),
+        FatalError);
 }
 
 /** Compile @p source with the host compiler and run it. */

@@ -5,7 +5,8 @@
  * skip, cleared by a healthy run or a cache reset), the degradation
  * ladder (an injected SIGSEGV inside emitted code degrades the
  * serial Runner — and the ParallelRunner — to the bytecode VM with
- * bit-identical output), the --degrade off policy (the typed
+ * bit-identical output), the quarantine lift after clean serial and
+ * parallel batches, the --degrade off policy (the typed
  * NativeFaultError propagates), and the typed compile faults
  * (wedged-compiler timeout, compiler stderr surfaced in the
  * diagnostic).
@@ -49,6 +50,23 @@ smallProgram()
         benchmarks::makeRunningExample());
 }
 
+/** partitionGreedy over two cores, weighted by a modeled profile. */
+multicore::Partition
+twoCorePartition(const vectorizer::CompiledProgram& p)
+{
+    const machine::MachineDesc m = machine::coreI7();
+    machine::CostSink cost(m);  // Keeps a reference to m.
+    interp::Runner vm(p.graph, p.schedule, &cost,
+                      interp::EngineConfig(
+                          interp::ExecEngine::Bytecode));
+    vm.runInit();
+    vm.runSteady(6);
+    std::vector<double> weights(p.graph.actors.size());
+    for (const auto& a : p.graph.actors)
+        weights[a.id] = cost.actorCycles(a.id);
+    return multicore::partitionGreedy(p.graph, p.schedule, weights, 2);
+}
+
 class CrashContainment : public ::testing::Test {
   protected:
     void SetUp() override
@@ -64,10 +82,10 @@ class CrashContainment : public ::testing::Test {
      * Arm the steady-crash site: raise a real SIGSEGV (caught by the
      * signal guard) on the first fire whose partition payload
      * matches — once only, like the CLI's native-crash injection.
-     * @p want_partition -1 matches the serial whole-program path;
-     * >= 0 a specific parallel partition; kAnyPartition everything.
+     * @p want_partition >= 0 matches that partition (0 is a serial
+     * run's one partition); kAnyPartition matches everything.
      */
-    static constexpr long kAnyPartition = -2;
+    static constexpr long kAnyPartition = -1;
     void armSteadyCrash(long want_partition)
     {
         auto fired = std::make_shared<std::atomic<bool>>(false);
@@ -181,7 +199,7 @@ TEST_F(CrashContainment, InjectedCrashDegradesSerialRunnerBitIdentical)
     vm.runInit();
     vm.runSteady(5);
 
-    armSteadyCrash(/*want_partition=*/-1);
+    armSteadyCrash(/*want_partition=*/0);
     interp::EngineConfig config(interp::ExecEngine::Native);
     config.native.cacheDir = freshCacheDir("serial_degrade");
     config.degrade = interp::DegradeMode::Auto;
@@ -197,7 +215,7 @@ TEST_F(CrashContainment, InjectedCrashDegradesSerialRunnerBitIdentical)
     EXPECT_EQ(rec.signal, SIGSEGV);
     EXPECT_EQ(rec.signalName, "SIGSEGV");
     EXPECT_EQ(rec.phase, "steady");
-    EXPECT_EQ(rec.partition, -1);
+    EXPECT_EQ(rec.partition, 0);
 
     // The degraded run is the bytecode run, bit for bit.
     testutil::expectSameStream(vm.captured(), r.captured());
@@ -221,7 +239,7 @@ TEST_F(CrashContainment, InjectedCrashDegradesSerialRunnerBitIdentical)
 TEST_F(CrashContainment, InjectedCrashWithDegradeOffThrowsTyped)
 {
     auto p = smallProgram();
-    armSteadyCrash(/*want_partition=*/-1);
+    armSteadyCrash(/*want_partition=*/0);
     interp::EngineConfig config(interp::ExecEngine::Native);
     config.native.cacheDir = freshCacheDir("serial_off");
     // DegradeMode::Off is the default: faults propagate.
@@ -246,32 +264,15 @@ TEST_F(CrashContainment, InjectedCrashWithDegradeOffThrowsTyped)
 TEST_F(CrashContainment, ParallelCrashFallsBackToSerialAndMatches)
 {
     auto p = smallProgram();
-
-    machine::CostSink cost(machine::coreI7());
-    interp::Runner vm(p.graph, p.schedule, &cost,
-                      interp::EngineConfig(
-                          interp::ExecEngine::Bytecode));
+    interp::Runner vm(p.graph, p.schedule);
     vm.runInit();
     vm.runSteady(6);
-    std::vector<double> weights(p.graph.actors.size());
-    for (const auto& a : p.graph.actors)
-        weights[a.id] = cost.actorCycles(a.id);
-    multicore::Partition part = multicore::partitionGreedy(
-        p.graph, p.schedule, weights, 2);
+    multicore::Partition part = twoCorePartition(p);
 
-    // Crash whichever partition probes the site first (payload >= 0
-    // excludes the serial fallback's whole-program replay, which
-    // passes -1 — the fallback must stay healthy).
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    support::FaultInjector::instance().arm(
-        "native.steady.crash",
-        [fired](std::int64_t* value) {
-            if (!value || *value < 0)
-                return;
-            if (fired->exchange(true))
-                return;
-            raise(SIGSEGV);
-        });
+    // Crash whichever partition probes the site first. The crash
+    // fires once, so the serial fallback's replay (partition 0 of the
+    // one-partition program) stays healthy.
+    armSteadyCrash(kAnyPartition);
 
     interp::EngineConfig config(interp::ExecEngine::Native);
     config.native.cacheDir = freshCacheDir("parallel_degrade");
@@ -305,6 +306,37 @@ TEST_F(CrashContainment, ParallelCrashFallsBackToSerialAndMatches)
     ASSERT_GE(faults->size(), 1u);
     EXPECT_EQ(faults->at(0).find("kind")->asString(), "crash");
     EXPECT_GE(faults->at(0).find("partition")->asInt(), 0);
+}
+
+TEST_F(CrashContainment, ParallelCleanBatchesLiftQuarantine)
+{
+    auto p = smallProgram();
+    multicore::Partition part = twoCorePartition(p);
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("parallel_lift");
+
+    std::string soPath;
+    {
+        interp::ParallelRunner first(p.graph, p.schedule, part,
+                                     nullptr, config);
+        soPath = first.nativeStats()->soPath;
+    }
+
+    // One recorded crash: the parallel build recompiles (the one
+    // retry), and the sidecar stays until every partition has run a
+    // clean steady batch — the warm-up alone proves nothing.
+    quarantine::recordFailure(soPath, "recorded test crash");
+    interp::ParallelRunner pr(p.graph, p.schedule, part, nullptr,
+                              config);
+    ASSERT_EQ(pr.threads(), 2);
+    EXPECT_FALSE(pr.nativeStats()->cacheHit);
+    EXPECT_EQ(pr.nativeStats()->quarantineFailures, 1);
+    pr.runInit();
+    EXPECT_EQ(quarantine::status(soPath).failures, 1);
+
+    pr.runSteady(4);
+    EXPECT_FALSE(pr.degradedToSerial());
+    EXPECT_EQ(quarantine::status(soPath).failures, 0);
 }
 
 TEST_F(CrashContainment, WedgedCompilerTimesOutWithTypedFault)

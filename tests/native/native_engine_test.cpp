@@ -104,6 +104,34 @@ TEST(NativeEngine, CacheMissThenHit)
     testutil::expectSameStream(first.captured(), second.captured());
 }
 
+TEST(NativeEngine, AppendCapturedBoxesOnlyNewLanes)
+{
+    NativeOptions opts;
+    opts.cacheDir = freshCacheDir("append_captured");
+    auto p = smallProgram();
+    NativeProgram prog(p.graph, p.schedule, opts);
+    prog.init();
+    prog.runSteady(2);
+
+    // The caller's elements stay as they are: only the lanes past its
+    // current size are boxed onto it.
+    std::vector<interp::Value> mirror = prog.captured();
+    ASSERT_GT(mirror.size(), 1u);
+    const interp::Value sentinel = interp::Value::makeInt(-12345);
+    mirror[0] = sentinel;
+    const std::size_t before = mirror.size();
+    prog.appendCaptured(mirror);
+    EXPECT_EQ(mirror.size(), before);
+
+    prog.runSteady(3);
+    prog.appendCaptured(mirror);
+    ASSERT_EQ(mirror.size(), prog.capturedSize());
+    EXPECT_GT(mirror.size(), before);
+    EXPECT_EQ(mirror[0], sentinel);
+    mirror[0] = prog.captured()[0];
+    testutil::expectSameStream(prog.captured(), mirror);
+}
+
 TEST(NativeEngine, FlagsParticipateInCacheKey)
 {
     std::string dir = freshCacheDir("flags_key");

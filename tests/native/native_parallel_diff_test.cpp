@@ -20,6 +20,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
 #include "benchmarks/random_graph.h"
 #include "benchmarks/suite.h"
@@ -174,7 +176,8 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     opts.machine = machine::coreI7();
     auto p = vectorizer::macroSimdize(benchmarks::makeFmRadio(), opts);
 
-    machine::CostSink cost(machine::coreI7());
+    const machine::MachineDesc m = machine::coreI7();
+    machine::CostSink cost(m);  // Keeps a reference to m.
     Runner vm(p.graph, p.schedule, &cost,
               EngineConfig(ExecEngine::Bytecode));
     vm.runInit();
@@ -200,6 +203,10 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     ASSERT_NE(nat, nullptr);
     EXPECT_EQ(nat->find("abiVersion")->asInt(), 3);
     EXPECT_FALSE(nat->find("compiler")->asString().empty());
+    // The same build block a serial native run reports.
+    ASSERT_NE(nat->find("coalesced"), nullptr);
+    EXPECT_FALSE(nat->find("coalesced")->asBool());
+    ASSERT_NE(nat->find("steadyWallMicros"), nullptr);
     const json::Value* par = stats.find("parallel");
     ASSERT_NE(par, nullptr);
     EXPECT_EQ(par->find("threads")->asInt(), 2);
@@ -207,7 +214,12 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     const json::Value* pnat = par->find("native");
     ASSERT_NE(pnat, nullptr);
     EXPECT_EQ(pnat->find("partitions")->asInt(), 2);
-    EXPECT_EQ(pnat->find("partitionWallMicros")->size(), 2u);
+    const json::Value* walls = pnat->find("partitionWallMicros");
+    ASSERT_EQ(walls->size(), 2u);
+    // native.steadyWallMicros is the slowest partition's time.
+    EXPECT_GT(nat->find("steadyWallMicros")->asDouble(), 0.0);
+    EXPECT_EQ(nat->find("steadyWallMicros")->asDouble(),
+              std::max(walls->at(0).asDouble(), walls->at(1).asDouble()));
 }
 
 } // namespace

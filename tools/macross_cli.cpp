@@ -507,9 +507,9 @@ main(int argc, char** argv)
                 // Armed with unlimited fires so the site can be probed
                 // by every partition/batch, but self-limited to one
                 // real crash: the payload carries the partition id
-                // (-1 for the serial whole-program path) and only a
-                // matching fire raises. raise() delivers the SIGSEGV
-                // on the firing thread, inside the signal guard.
+                // (0 for a serial run) and only a matching fire
+                // raises. raise() delivers the SIGSEGV on the firing
+                // thread, inside the signal guard.
                 auto fired =
                     std::make_shared<std::atomic<bool>>(false);
                 support::FaultInjector::instance().arm(
