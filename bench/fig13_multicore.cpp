@@ -8,23 +8,27 @@
  * scalar cores; MatrixMult prefers SIMD-only because partitioning it
  * is communication-bound.
  *
- * Alongside the modeled estimates, a second table reports *measured*
+ * The modeled table partitions with partitionLpt, the paper's naive
+ * partitioner. Alongside it, a second table reports *measured*
  * wall-clock speedup of the parallel runtime (interp/parallel_runner.h)
  * over the single-threaded bytecode runner for the same steady work —
  * uncosted and capture-off, so the numbers reflect interpreter
- * throughput. On hosts with fewer CPUs than worker threads these
- * ratios sit below 1; they are meaningful on real multicores.
+ * throughput. A third table measures the *native* parallel runtime:
+ * per-core emitted sub-programs (one Partition struct per core)
+ * running over the same SPSC rings, normalized against the serial
+ * native engine (the same shape with one partition) on the identical
+ * macro-SIMDized graph. Both measured tables run partitionGreedy, the
+ * pipeline partitioner the runtimes use, which may decline cores.
  *
- * A third table measures the *native* parallel runtime: per-core
- * emitted sub-programs (one Partition struct per core) running
- * over the same SPSC rings, normalized against the serial native
- * engine (the same shape with one partition) on the identical
- * macro-SIMDized graph. Same hardware
- * caveat — compiled partitions spin on ring waits, so on a host
- * with one CPU every multi-thread ratio lands well below 1.
+ * Every measured number, serial or parallel, is the median of
+ * kWindows outer-clock timings of one runSteady call, after one
+ * warm-up window. On hosts with fewer CPUs than worker threads the
+ * ratios sit below 1; they are meaningful on real multicores.
  */
+#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "harness.h"
 #include "interp/parallel_runner.h"
@@ -38,6 +42,8 @@ namespace {
 
 constexpr double kPerWordCycles = 12.0;
 constexpr double kSyncCycles = 200.0;
+/** Timed windows per measured number (after one warm-up window). */
+constexpr int kWindows = 5;
 
 /** Profile per-actor steady-state cycles. */
 std::vector<double>
@@ -77,18 +83,40 @@ multicoreCycles(const vectorizer::CompiledProgram& p,
                 const machine::MachineDesc& m, int cores)
 {
     auto cycles = profile(p, m);
-    auto part = multicore::partitionGreedy(p.graph, p.schedule, cycles,
-                                           cores);
+    auto part = multicore::partitionLpt(p.graph, p.schedule, cycles,
+                                        cores);
     auto est = multicore::estimateMulticore(
         p.graph, p.schedule, part, kPerWordCycles, kSyncCycles);
     return est.cycles / sinkElementsPerSteady(p);
 }
 
 /**
+ * Initialize @p r, drop one warm-up window, then return the median
+ * outer-clock wall time of kWindows runSteady(@p iters) calls.
+ */
+template <typename R>
+double
+medianWindowMicros(R& r, int iters)
+{
+    r.runInit();
+    r.runSteady(iters);
+    std::vector<double> us;
+    for (int k = 0; k < kWindows; ++k) {
+        const auto t0 = std::chrono::steady_clock::now();
+        r.runSteady(iters);
+        us.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::sort(us.begin(), us.end());
+    return us[us.size() / 2];
+}
+
+/**
  * Measured wall-clock microseconds for @p iters steady iterations —
  * uncosted and capture-off, so the time is pure interpreter work. For
  * one core this is the serial bytecode Runner; for more, the
- * ParallelRunner over the greedy partition of the profiled loads.
+ * ParallelRunner over the pipeline partition of the profiled loads.
  */
 double
 measuredWallMicros(const vectorizer::CompiledProgram& p,
@@ -97,21 +125,14 @@ measuredWallMicros(const vectorizer::CompiledProgram& p,
     if (cores == 1) {
         interp::Runner r(p.graph, p.schedule);
         r.enableCapture(false);
-        r.runInit();
-        const auto t0 = std::chrono::steady_clock::now();
-        r.runSteady(iters);
-        return std::chrono::duration<double, std::micro>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
+        return medianWindowMicros(r, iters);
     }
     auto cycles = profile(p, m);
     auto part = multicore::partitionGreedy(p.graph, p.schedule, cycles,
                                            cores);
     interp::ParallelRunner pr(p.graph, p.schedule, part);
     pr.enableCapture(false);
-    pr.runInit();
-    pr.runSteady(iters);
-    return pr.steadyWallMicros();
+    return medianWindowMicros(pr, iters);
 }
 
 interp::EngineConfig
@@ -133,12 +154,7 @@ double
 serialNativeWallMicros(const vectorizer::CompiledProgram& p, int iters)
 {
     interp::Runner r(p.graph, p.schedule, nullptr, nativeConfig());
-    r.runInit();
-    const auto t0 = std::chrono::steady_clock::now();
-    r.runSteady(iters);
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return medianWindowMicros(r, iters);
 }
 
 /**
@@ -157,9 +173,7 @@ parallelNativeWallMicros(const vectorizer::CompiledProgram& p,
                                            threads);
     interp::ParallelRunner pr(p.graph, p.schedule, part, nullptr,
                               nativeConfig());
-    pr.runInit();
-    pr.runSteady(iters);
-    return pr.steadyWallMicros();
+    return medianWindowMicros(pr, iters);
 }
 
 } // namespace
@@ -205,6 +219,8 @@ main()
     // Measured companion table: wall-clock ratio of the serial
     // bytecode runner to the parallel runtime for the same steady
     // work. Hardware-dependent — a host with < 4 CPUs reports < 1x.
+    // The pipeline partitioner may use fewer cores than a column
+    // names.
     constexpr int kMeasureIters = 256;
     std::vector<std::pair<std::string, std::vector<double>>> meas;
     for (const auto& b : benchmarks::standardSuite()) {
@@ -241,8 +257,8 @@ main()
     // rings versus the serial native engine, macro-SIMDized at W=4.
     // 1 thread isolates worker-pool overhead (a one-partition library
     // has no crossing rings); 2 and 4 threads exercise the real ring
-    // protocol. Hardware-dependent like the table above — and more
-    // sharply so, because compiled partitions spin on ring waits.
+    // protocol where the partitioner splits the program.
+    // Hardware-dependent like the table above.
     constexpr int kNativeIters = 256;
     std::vector<std::pair<std::string, std::vector<double>>> nat;
     for (const auto& b : benchmarks::standardSuite()) {
@@ -261,9 +277,9 @@ main()
                "engine (macroSIMD, W=4)",
                {"1 thread", "2 threads", "4 threads"}, nat);
     std::printf("\nnative table measured on %u hardware thread(s); "
-                "spinning ring waits push multi-thread ratios far "
-                "below 1 when workers outnumber CPUs\n",
-                std::thread::hardware_concurrency());
+                "medians of %d windows, ratios below 1 when workers "
+                "outnumber CPUs\n",
+                std::thread::hardware_concurrency(), kWindows);
 
     // The measured tables are host-dependent; stamp the recording
     // host into the archive so checked-in baselines stay comparable.
@@ -272,10 +288,13 @@ main()
         json::Value summary = json::Value::object();
         summary["hostHardwareThreads"] =
             static_cast<int>(std::thread::hardware_concurrency());
+        summary["windows"] = kWindows;
         summary["note"] =
-            "modeled table is deterministic; measured tables depend "
-            "on the host, and ratios below 1 are expected when "
-            "worker threads outnumber CPUs";
+            "modeled table is deterministic (partitionLpt); measured "
+            "tables run partitionGreedy, which may use fewer cores "
+            "than a column names, time serial and parallel alike "
+            "(median of windows after one warm-up window) and depend "
+            "on the host";
         benchArchive()["summary"] = std::move(summary);
     }
     return 0;

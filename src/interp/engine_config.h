@@ -115,20 +115,21 @@ struct EngineConfig {
      */
     DegradeMode degrade = DegradeMode::Off;
     /**
-     * Steady iterations per parallel dispatch batch. 0 keeps the
-     * runtime default (ParallelOptions::batchIterations, 32).
-     * Positive values override it — larger batches amortize the
-     * barrier but grow every cross-core ring, since rings are sized
-     * so a producer can run a whole batch ahead. Serial runners
-     * ignore it. The auto-tuner searches over this knob.
+     * Steady iterations per parallel worker chunk (ring flush and
+     * progress tick). 0 keeps the runtime default
+     * (ParallelOptions::batchIterations, 32). Positive values override
+     * it — larger chunks amortize the flushes but grow every
+     * cross-core ring, since rings are sized so a producer can run a
+     * whole chunk ahead. Serial runners ignore it. The auto-tuner
+     * searches over this knob.
      */
     int batchIterations = 0;
     /**
      * Floor on cross-core SPSC ring capacity in elements (rounded up
      * to a power of two by the ring). 0 keeps the runtime default
-     * (ParallelOptions::minRingSlots, 64). The derived
-     * never-block-mid-batch bound still applies: this raises
-     * capacity, it cannot shrink below what correctness needs.
+     * (ParallelOptions::minRingSlots, 64). The derived bound still
+     * applies: this raises capacity, it cannot shrink below what
+     * correctness needs.
      */
     std::int64_t ringCapacity = 0;
 };

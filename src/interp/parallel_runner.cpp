@@ -63,12 +63,12 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
         opt_.minRingSlots = config_.ringCapacity;
     fatalIf(opt_.batchIterations < 1, "batch of zero iterations");
 
-    // Re-back every cross-core tape with an SPSC ring, sized so the
-    // producer can stay a full batch ahead of a consumer that has not
-    // released anything: init residue + batchIterations of production,
-    // plus block slack on each side for transposed endpoints whose
-    // mapped addresses run ahead of their cursors. With that bound
-    // producers never block mid-batch; only consumers wait.
+    // Re-back every cross-core tape with an SPSC ring. The serial
+    // buffer bound plus block slack on each side (for transposed
+    // endpoints whose mapped addresses run ahead of their cursors) is
+    // what deadlock freedom needs (see the header); the batch term
+    // lets a producer run a whole chunk ahead of a consumer that has
+    // not released anything before it blocks on a full ring.
     const std::vector<schedule::BufferBound> bounds =
         schedule::computeBufferBounds(g, s);
     rings_.resize(g.tapes.size());
@@ -87,8 +87,8 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
         const std::int64_t slack = 2 * std::max(headBlock, tailBlock);
         // bound covers the init-phase peak (all of the producer's
         // warm-up output can be resident before the consumer's first
-        // warm-up firing drains any of it); the batch term covers the
-        // steady-state race.
+        // warm-up firing drains any of it) and every serial
+        // steady-state occupancy.
         const std::int64_t slots = std::max(
             {opt_.minRingSlots, bounds[i].bound + slack,
              bounds[i].warmup + opt_.batchIterations * perIter +
@@ -174,8 +174,8 @@ ParallelRunner::runInit()
 {
     // Single-threaded on the main thread, workers parked: init bodies
     // and warm-up firings run through the ring-backed tapes with no
-    // concurrency, and the batch barrier's mutex orders these writes
-    // before any worker's first firing. runInit also precompiles every
+    // concurrency, and the dispatch mutex orders these writes before
+    // any worker's first firing. runInit also precompiles every
     // bytecode actor, so ensureCompiled is a read-only lookup by the
     // time workers share it. Native init runs the same schedule-order
     // warm-up through the emitted partitions (block-floored ring
@@ -221,18 +221,18 @@ ParallelRunner::workerLoop(int worker_id)
                 return;
             }
             seenGen = generation_;
-            iters = batchIters_;
+            iters = dispatchIters_;
         }
         try {
-            runBatch(worker_id, w, iters);
+            runSlice(worker_id, w, iters);
         } catch (...) {
             w.error = std::current_exception();
         }
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++doneCount_;
-            if (w.error)
-                ++erroredCount_;
+            if (w.error && firstError_ < 0)
+                firstError_ = worker_id;
             w.doneGen = seenGen;
         }
         cv_.notify_all();
@@ -240,41 +240,44 @@ ParallelRunner::workerLoop(int worker_id)
 }
 
 void
-ParallelRunner::runBatch(int worker_id, Worker& w, int iterations)
+ParallelRunner::runSlice(int worker_id, Worker& w, int iterations)
 {
     std::int64_t wid = worker_id;
-    support::FaultInjector::fire("parallel.worker.batch", &wid);
-    if (native_) {
-        // The emitted run_steady ends with an exact ring flush, so
-        // there is nothing to flush host-side at batch end.
-        native_->runSteadyPartition(worker_id, iterations);
-        return;
-    }
-    for (int it = 0; it < iterations; ++it) {
-        for (const SliceEntry& e : w.slice) {
-            for (std::int64_t k = 0; k < e.reps; ++k)
-                runner_.fireWith(e.actorId, w.vm, w.sink.get());
+    for (int done = 0; done < iterations;) {
+        const int chunk = std::min(opt_.batchIterations, iterations - done);
+        support::FaultInjector::fire("parallel.worker.batch", &wid);
+        if (native_) {
+            // The emitted run_steady ends with an exact ring flush.
+            native_->runSteadyPartition(worker_id, chunk);
+        } else {
+            for (int it = 0; it < chunk; ++it) {
+                for (const SliceEntry& e : w.slice) {
+                    for (std::int64_t k = 0; k < e.reps; ++k)
+                        runner_.fireWith(e.actorId, w.vm, w.sink.get());
+                }
+            }
+            // Chunk-end flushes: push out partial transposed blocks
+            // (the consumer may need them before this worker's next
+            // block completes) and release everything consumed.
+            for (Tape* t : w.producedRings)
+                t->flushRingTail();
+            for (Tape* t : w.consumedRings)
+                t->flushRingHead();
         }
+        done += chunk;
+        w.chunks.fetch_add(1, std::memory_order_relaxed);
     }
-    // Batch-end flushes: push out partial transposed blocks (the
-    // consumer side may legitimately need them next batch) and release
-    // everything consumed, restoring the full-capacity headroom the
-    // ring sizing assumes at each batch boundary.
-    for (Tape* t : w.producedRings)
-        t->flushRingTail();
-    for (Tape* t : w.consumedRings)
-        t->flushRingHead();
 }
 
 std::optional<ParallelFault>
-ParallelRunner::dispatchBatch(int iterations)
+ParallelRunner::dispatch(int iterations)
 {
     std::int64_t gen = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        batchIters_ = iterations;
+        dispatchIters_ = iterations;
         doneCount_ = 0;
-        erroredCount_ = 0;
+        firstError_ = -1;
         gen = ++generation_;
     }
     cv_.notify_all();
@@ -284,92 +287,121 @@ ParallelRunner::dispatchBatch(int iterations)
                    std::chrono::steady_clock::now() - t0)
             .count();
     };
-    bool finished = true;
+    // The chunk (1-based over the runner's life) a worker that has
+    // finished @p chunks chunks is in, and that chunk's iterations.
+    auto chunkFault = [&](const char* kind, std::int64_t chunks) {
+        ParallelFault f;
+        f.kind = kind;
+        f.generation = chunks + 1;
+        f.batchIterations = std::min<std::int64_t>(
+            opt_.batchIterations,
+            iterations - (chunks - chunks_) * opt_.batchIterations);
+        f.detectedAfterMs = elapsedMs();
+        return f;
+    };
+    int errored = -1;
     {
         std::unique_lock<std::mutex> lk(mu_);
-        // Native batches additionally wake on the first worker error:
-        // a crashed partition never flushes its rings, so its siblings
-        // would block in emitted ring waits and allDone would never
-        // hold. Interp batches keep the plain barrier — an interp
-        // worker's exception cannot wedge its peers past batch end.
+        // Wake on the first worker error as well as on completion: a
+        // worker that died mid-slice never flushes its rings, so its
+        // peers block in ring waits and would never finish.
         auto done = [&] {
             return doneCount_ == static_cast<int>(workers_.size()) ||
-                   (native_ && erroredCount_ > 0);
+                   firstError_ >= 0;
         };
-        if (opt_.watchdogMs > 0)
-            finished = cv_.wait_for(
-                lk, std::chrono::milliseconds(opt_.watchdogMs),
-                done);
-        else
+        if (opt_.watchdogMs <= 0) {
             cv_.wait(lk, done);
-        if (!finished) {
-            ParallelFault f;
-            f.kind = "workerStall";
-            f.generation = gen;
-            f.batchIterations = iterations;
-            f.detectedAfterMs = elapsedMs();
-            for (std::size_t i = 0; i < workers_.size(); ++i) {
-                if (workers_[i]->doneGen != gen)
-                    f.pendingWorkers.push_back(static_cast<int>(i));
+        } else {
+            // Stall detection: no worker finished a chunk for
+            // watchdogMs. Polled at a quarter of the timeout.
+            const auto timeout =
+                std::chrono::milliseconds(opt_.watchdogMs);
+            const auto poll = std::max(timeout / 4,
+                                       std::chrono::milliseconds(1));
+            std::int64_t seen = chunksFinished();
+            auto lastMove = std::chrono::steady_clock::now();
+            while (!cv_.wait_for(lk, poll, done)) {
+                const auto now = std::chrono::steady_clock::now();
+                const std::int64_t finished = chunksFinished();
+                if (finished != seen) {
+                    seen = finished;
+                    lastMove = now;
+                } else if (now - lastMove >= timeout) {
+                    break;
+                }
             }
-            f.message = "batch generation " + std::to_string(gen) +
-                        " did not complete within " +
+        }
+        if (!done()) {
+            std::int64_t slowest = -1;
+            std::vector<int> pending;
+            for (std::size_t i = 0; i < workers_.size(); ++i) {
+                if (workers_[i]->doneGen == gen)
+                    continue;
+                pending.push_back(static_cast<int>(i));
+                const std::int64_t c =
+                    workers_[i]->chunks.load(std::memory_order_relaxed);
+                slowest = slowest < 0 ? c : std::min(slowest, c);
+            }
+            ParallelFault f = chunkFault("workerStall", slowest);
+            f.pendingWorkers = std::move(pending);
+            f.message = "chunk " + std::to_string(f.generation) +
+                        " made no progress within the " +
                         std::to_string(opt_.watchdogMs) +
                         " ms watchdog; " +
                         std::to_string(f.pendingWorkers.size()) +
                         " worker(s) pending";
             return f;
         }
+        errored = firstError_;
     }
-    for (auto& w : workers_) {
-        if (!w->error)
-            continue;
-        std::exception_ptr e = w->error;
-        w->error = nullptr;
-        ParallelFault f;
-        f.kind = "workerError";
-        f.generation = gen;
-        f.batchIterations = iterations;
-        f.detectedAfterMs = elapsedMs();
-        f.pendingWorkers.push_back(static_cast<int>(&w - workers_.data()));
-        try {
-            std::rethrow_exception(e);
-        } catch (const native::NativeFaultError& ex) {
-            // A crash in emitted code: typed, and policy-governed
-            // regardless of the watchdog setting (the fault is
-            // already contained; nothing needs a timeout to detect).
-            f.kind = "nativeFault";
-            f.message = ex.what();
-            nativeFaults_.push_back(ex.record());
-            if (config_.degrade == DegradeMode::Off) {
-                // No ladder below by policy: park the pool so no
-                // worker is left running emitted code, record what
-                // happened, and let the typed fault propagate.
-                f.cleanShutdown = shutdownPool();
-                faults_.push_back(std::move(f));
-                throw;
-            }
-            return f;
-        } catch (const std::exception& ex) {
-            if (opt_.watchdogMs <= 0)
-                std::rethrow_exception(e);  // Legacy: caller's problem.
-            f.message = ex.what();
-        } catch (...) {
-            if (opt_.watchdogMs <= 0)
-                std::rethrow_exception(e);  // Legacy: caller's problem.
-            f.message = "non-standard exception";
+    if (errored < 0) {
+        chunks_ += (iterations + opt_.batchIterations - 1) /
+                   opt_.batchIterations;
+        return std::nullopt;
+    }
+
+    Worker& w = *workers_[errored];
+    std::exception_ptr e = w.error;
+    ParallelFault f = chunkFault(
+        "workerError", w.chunks.load(std::memory_order_relaxed));
+    f.pendingWorkers.push_back(errored);
+    try {
+        std::rethrow_exception(e);
+    } catch (const native::NativeFaultError& ex) {
+        // A crash in emitted code: typed, and policy-governed
+        // regardless of the watchdog setting (the fault is already
+        // contained; nothing needs a timeout to detect).
+        f.kind = "nativeFault";
+        f.message = ex.what();
+        nativeFaults_.push_back(ex.record());
+        if (config_.degrade == DegradeMode::Off) {
+            // No ladder below by policy: park the pool so no worker is
+            // left running emitted code, record what happened, and let
+            // the typed fault propagate.
+            f.cleanShutdown = shutdownPool();
+            faults_.push_back(std::move(f));
+            throw;
         }
         return f;
+    } catch (const std::exception& ex) {
+        f.message = ex.what();
+    } catch (...) {
+        f.message = "non-standard exception";
     }
-    return std::nullopt;
+    if (opt_.watchdogMs <= 0) {
+        // Legacy: park the pool, then the error is the caller's.
+        shutdownPool();
+        std::rethrow_exception(e);
+    }
+    return f;
 }
 
 bool
 ParallelRunner::shutdownPool()
 {
     // Stop the pool. Workers blocked inside a ring wait (their peer
-    // died mid-batch) cannot see stop_; aborting the waits makes them
-    // panic out promptly, the batch loop catches it, and they park
+    // died mid-slice) cannot see stop_; aborting the waits makes them
+    // panic out promptly, the worker loop catches it, and they park
     // like any other finished worker.
     {
         std::lock_guard<std::mutex> lk(mu_);
@@ -383,8 +415,8 @@ ParallelRunner::shutdownPool()
     // Grace wait for all workers to exit, then join them. A worker
     // that is still wedged past the grace period (stalled in user code
     // the abort cannot reach) is detached: it holds only references
-    // into this runner, which stays alive, and it can no longer pass a
-    // barrier since stop_ is set.
+    // into this runner, which stays alive, and it can never take
+    // another dispatch since stop_ is set.
     const auto grace = std::chrono::milliseconds(
         std::max<std::int64_t>(10 * opt_.watchdogMs, 2000));
     bool clean = false;
@@ -413,7 +445,7 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
     // join/detach).
     fault.cleanShutdown = shutdownPool();
     // 3. Snapshot the parallel run's captures for verification. The
-    // sink worker appends in serial order even mid-batch, so whatever
+    // sink worker appends in serial order even mid-slice, so whatever
     // is there is a prefix of the serial stream — but only a clean
     // shutdown guarantees nobody is still appending.
     std::vector<Value> prefix;
@@ -479,7 +511,6 @@ ParallelRunner::runSteady(int iterations)
         // Already degraded: the pool is gone, the serial runner is
         // the runner.
         fallback_->runSteady(iterations);
-        completedIters_ += iterations;
         steadyIterations_ += iterations;
         if (cost_) {
             std::vector<const machine::CostSink*> parts{
@@ -490,34 +521,26 @@ ParallelRunner::runSteady(int iterations)
     }
     if (!initDone())
         runInit();
+    if (iterations <= 0)
+        return;
+    panicIf(stop_, "parallel runner reused after a worker error shut "
+            "its pool down");
     const auto t0 = std::chrono::steady_clock::now();
-    int remaining = iterations;
-    while (remaining > 0) {
-        const int b = std::min(remaining, opt_.batchIterations);
-        if (auto fault = dispatchBatch(b)) {
-            // The caller asked for `iterations`; the fallback replays
-            // everything completed so far plus all of the rest, so
-            // post-conditions match a healthy run exactly.
-            degradeToSerial(std::move(*fault),
-                            completedIters_ + remaining);
-            completedIters_ += remaining;
-            steadyIterations_ += remaining;
-            steadyWallMicros_ +=
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            return;
-        }
-        completedIters_ += b;
-        remaining -= b;
-    }
+    std::optional<ParallelFault> fault = dispatch(iterations);
+    steadyIterations_ += iterations;
+    // The fallback replays every iteration asked for so far, so
+    // post-conditions match a healthy run exactly.
+    if (fault)
+        degradeToSerial(std::move(*fault), steadyIterations_);
     steadyWallMicros_ += std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
-    steadyIterations_ += iterations;
+    if (fault)
+        return;
 
-    // Batch barrier: workers are parked, so the emitted sink buffer is
-    // quiescent and its new elements can be mirrored for captured().
+    // Every worker finished its slice and is parked, so the emitted
+    // sink buffer is quiescent and its new elements can be mirrored
+    // for captured().
     if (native_) {
         native_->endBatch();
         native_->appendCaptured(nativeCaptured_);
@@ -576,7 +599,7 @@ json::Value
 ParallelRunner::statsToJson() const
 {
     // After degradation the fallback runner holds the authoritative
-    // per-actor stats (the parallel ones stop at the faulted batch).
+    // per-actor stats (the parallel ones stop at the faulted dispatch).
     json::Value root =
         fallback_ ? fallback_->statsToJson() : runner_.statsToJson();
 
@@ -609,6 +632,8 @@ ParallelRunner::statsToJson() const
 
     json::Value par = json::Value::object();
     par["threads"] = part_.cores;
+    par["threadsRequested"] =
+        std::max(part_.requestedCores, part_.cores);
     par["batchIterations"] = opt_.batchIterations;
     par["minRingSlots"] = opt_.minRingSlots;
     par["watchdogMs"] = opt_.watchdogMs;

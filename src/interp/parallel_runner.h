@@ -4,15 +4,31 @@
  * (multicore/partition.h) of a scheduled stream graph on a pool of
  * worker threads, one per core.
  *
- * Each worker owns the actors its core was assigned and fires them in
- * the single-appearance schedule order, batch after batch of steady
- * iterations. Tapes whose endpoints live on the same core keep the
- * ordinary growable Tape storage and cost one predictable branch;
- * tapes that cross cores are re-backed by bounded lock-free SPSC rings
- * (interp/spsc_queue.h) sized so a producer can run a whole batch
- * ahead of its consumer without wrapping — producers never block, only
- * consumers wait, and on an acyclic graph that makes deadlock
- * impossible by topological induction.
+ * Each runSteady is one dispatch: the main thread releases every
+ * worker once, and each worker fires the actors its core was assigned
+ * in the single-appearance schedule order for the whole call, in
+ * chunks of batchIterations. A chunk ends with an exact flush of the
+ * worker's ring endpoints and a bump of the worker's progress counter;
+ * no worker ever waits for another between chunks. Tapes whose
+ * endpoints live on the same core keep the ordinary growable Tape
+ * storage and cost one predictable branch; tapes that cross cores are
+ * re-backed by bounded lock-free SPSC rings (interp/spsc_queue.h).
+ * Consumers block on an empty ring and producers on a full one, so on
+ * a pipeline partition (partitionGreedy) every core runs ahead of its
+ * consumers by up to a ring's worth of work.
+ *
+ * Deadlock freedom with blocking producers, for any partition: each
+ * worker fires its actors in serial order, so among the workers'
+ * next firings take the one F that comes first in the serial firing
+ * sequence. Every firing before F has happened, so F's inputs hold at
+ * least what the serial run had at that point, and each output tape
+ * of F holds at most what it held serially (its producer's firings are
+ * exactly the serial ones, its consumer has done at least as many).
+ * A ring of at least the serial buffer bound (computeBufferBounds)
+ * therefore has room for F, and the block slack on each side covers
+ * transposed endpoints that publish and release whole blocks only
+ * (partial blocks go out at each chunk end). So F can always fire,
+ * and some worker always makes progress.
  *
  * Engines: the interpreting engines (tree, bytecode) fire through a
  * shared Runner with per-worker VM state. ExecEngine::Native instead
@@ -30,13 +46,14 @@
  * Each actor fires on exactly one thread, so its tape traffic and its
  * floating-point charge sequence are exactly the serial ones; the sink
  * actor's worker appends captures in serial order; and per-thread
- * CostSinks merge at batch barriers through
+ * CostSinks merge at the end of every runSteady through
  * CostSink::assignDisjointUnion, which recomputes cross-actor
  * aggregates in canonical actor-id order (compare against the serial
  * runner's CostSink::attributedCycles()).
  */
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -57,10 +74,11 @@ namespace macross::interp {
 /** Tuning knobs for ParallelRunner. */
 struct ParallelOptions {
     /**
-     * Steady iterations per dispatch batch. Cross-core rings are
-     * sized to hold init residue plus this many iterations of
-     * production, the bound that keeps producers from ever blocking
-     * mid-batch.
+     * Steady iterations per worker chunk: the granularity of ring
+     * flushes, progress counters and the fault-injection site.
+     * Cross-core rings are also sized to hold init residue plus this
+     * many iterations of production, so a producer can run a chunk
+     * ahead of its consumer before it blocks.
      */
     int batchIterations = 32;
     /** Floor on ring capacity in elements (rounded up to pow2). */
@@ -68,15 +86,16 @@ struct ParallelOptions {
     /** Pin worker k to CPU k when the host has enough CPUs. */
     bool pinThreads = true;
     /**
-     * Watchdog timeout per dispatched batch, in milliseconds. 0
-     * disables the watchdog: batch waits block indefinitely and a
-     * worker exception is rethrown on the calling thread (the legacy
-     * behavior). When positive, a batch that does not complete in time
+     * Watchdog timeout in milliseconds: the longest a dispatch may go
+     * without any worker finishing a chunk. 0 disables the watchdog:
+     * dispatch waits block indefinitely and a worker exception parks
+     * the pool and is rethrown on the calling thread (the legacy
+     * behavior). When positive, a dispatch that stops making progress
      * — a stalled, deadlocked, or crashed worker — is detected, the
      * pool is shut down cleanly, and the run degrades to the serial
      * Runner, which replays the whole steady history so the caller
      * still observes bit-identical output and modeled cycles. Size it
-     * to a generous multiple of the expected batch wall time.
+     * to a generous multiple of the expected chunk wall time.
      */
     std::int64_t watchdogMs = 0;
 };
@@ -86,15 +105,22 @@ struct ParallelOptions {
  * the recovery achieved. Reported under run.stats.parallel.faults.
  */
 struct ParallelFault {
-    /** "workerStall" (batch timeout) or "workerError" (exception). */
+    /** "workerStall" (no progress), "workerError" (exception) or
+     *  "nativeFault" (contained crash in emitted code). */
     std::string kind;
-    /** Batch generation that faulted. */
+    /**
+     * Chunk that faulted, counted from 1 over the runner's life (every
+     * worker splits each runSteady into the same chunks): the chunk
+     * the errored worker was in, or for a stall the earliest chunk a
+     * pending worker was in.
+     */
     std::int64_t generation = 0;
-    /** Iterations the faulted batch was dispatched with. */
+    /** Iterations of that chunk. */
     int batchIterations = 0;
     /** Wall-clock from dispatch to detection. */
     double detectedAfterMs = 0.0;
-    /** Workers that had not finished the batch at detection. */
+    /** Workers that had not finished the dispatch at detection (for
+     *  an error, the worker that raised it). */
     std::vector<int> pendingWorkers;
     /** Human-readable diagnostic (exception text for workerError). */
     std::string message;
@@ -120,7 +146,8 @@ class ParallelRunner {
     /**
      * @param g      Graph to run (must outlive the runner).
      * @param s      Schedule for @p g.
-     * @param part   Core assignment from partitionGreedy (cores >= 1).
+     * @param part   Core assignment (cores >= 1), from
+     *               partitionGreedy or partitionLpt.
      * @param cost   Cycle sink, or null to run without costing. Merged
      *               deterministically at the end of every runSteady.
      *               Native runs measure wall clock instead of modeling
@@ -155,7 +182,8 @@ class ParallelRunner {
     /** Run all init bodies and warm-up firings, single-threaded. */
     void runInit();
 
-    /** Run @p iterations steady-state iterations across the pool. */
+    /** Run @p iterations steady-state iterations across the pool
+     *  (one dispatch). */
     void runSteady(int iterations);
 
     /**
@@ -204,6 +232,7 @@ class ParallelRunner {
     /** Merged modeled cycles so far (0 without a sink). */
     double totalCycles() const;
 
+    /** Worker threads: the cores the partition uses. */
     int threads() const { return part_.cores; }
 
     const Runner& runner() const { return runner_; }
@@ -225,8 +254,9 @@ class ParallelRunner {
 
     /**
      * Runner stats (per-actor firing counts/cycles, tape traffic,
-     * engine, dispatcher) plus a "parallel" object: thread count,
-     * batch size, core assignment and per-core modeled load, ring
+     * engine, dispatcher) plus a "parallel" object: thread count
+     * (cores used, beside threadsRequested), chunk size, core
+     * assignment and per-core modeled load, ring
      * capacities and traffic, steady wall-clock, and measured speedup
      * when a baseline was provided.
      */
@@ -244,11 +274,14 @@ class ParallelRunner {
         Vm vm;
         std::unique_ptr<machine::CostSink> sink;
         /** Ring-backed tapes this worker produces into / consumes
-         *  from — flushed exactly at batch end. */
+         *  from — flushed exactly at chunk end. */
         std::vector<Tape*> producedRings;
         std::vector<Tape*> consumedRings;
         std::thread thread;
         std::exception_ptr error;
+        /** Chunks finished over the runner's life (the watchdog's
+         *  progress counter; written only by this worker). */
+        std::atomic<std::int64_t> chunks{0};
         /** Last generation this worker finished (under mu_). */
         std::int64_t doneGen = 0;
         /** workerLoop returned; the thread is joinable fast. */
@@ -256,13 +289,27 @@ class ParallelRunner {
     };
 
     void workerLoop(int worker_id);
-    void runBatch(int worker_id, Worker& w, int iterations);
+    /** One worker's share of a dispatch, chunk by chunk. */
+    void runSlice(int worker_id, Worker& w, int iterations);
     bool initDone() const
     {
         return native_ ? native_->initDone() : runner_.initDone();
     }
-    /** Returns the detected fault, or nullopt when the batch ran. */
-    std::optional<ParallelFault> dispatchBatch(int iterations);
+    /** Sum of the workers' progress counters. */
+    std::int64_t chunksFinished() const
+    {
+        std::int64_t n = 0;
+        for (const auto& w : workers_)
+            n += w->chunks.load(std::memory_order_relaxed);
+        return n;
+    }
+    /**
+     * Release every worker for @p iterations and wait until all have
+     * finished, one has failed, or (watchdog on) none has finished a
+     * chunk for watchdogMs. Returns the detected fault, or nullopt
+     * when the dispatch ran.
+     */
+    std::optional<ParallelFault> dispatch(int iterations);
     /**
      * Stop the pool, abort ring waits so blocked workers park, then
      * join them (or, past the grace period, detach the wedged ones).
@@ -299,8 +346,8 @@ class ParallelRunner {
 
     /** Compiled per-core sub-programs (ExecEngine::Native only). */
     std::unique_ptr<native::NativeProgram> native_;
-    /** Sink mirror of native_, extended at batch barriers so
-     *  captured() can hand out a stable reference. */
+    /** Sink mirror of native_, extended at the end of every
+     *  runSteady so captured() can hand out a stable reference. */
     std::vector<Value> nativeCaptured_;
 
     /** Replayed onto the fallback runner (setActorConfig history). */
@@ -314,29 +361,30 @@ class ParallelRunner {
     std::unique_ptr<machine::CostSink> fallbackCost_;
     std::unique_ptr<Runner> fallback_;
 
-    /** Generation-counted batch barrier: the main thread bumps
+    /** Generation-counted dispatch: the main thread bumps
      *  generation_ to release workers, each worker reports into
-     *  doneCount_, and the final worker wakes the main thread. Both
-     *  edges run through mu_, which also carries the happens-before
-     *  for the main thread's reads of captures and per-thread sinks. */
+     *  doneCount_ when its slice is done, and the main thread wakes on
+     *  the last report or the first error. Both edges run through
+     *  mu_, which also carries the happens-before for the main
+     *  thread's reads of captures and per-thread sinks. */
     std::mutex mu_;
     std::condition_variable cv_;
     std::int64_t generation_ = 0;
-    int batchIters_ = 0;
+    int dispatchIters_ = 0;
     int doneCount_ = 0;
-    /** Workers that finished the current batch with an exception
-     *  (under mu_). Native dispatch waits on this too: a crashed
-     *  partition's siblings block in emitted ring waits forever, so
-     *  the main thread must wake on the first error, not on allDone. */
-    int erroredCount_ = 0;
+    /** First worker whose slice ended in an exception this dispatch,
+     *  or -1 (under mu_). Its peers may be blocked in ring waits for
+     *  data it will never publish, so the main thread wakes on it. */
+    int firstError_ = -1;
     int exitedCount_ = 0;
     bool stop_ = false;
+    /** Chunks of every completed dispatch (main thread only). */
+    std::int64_t chunks_ = 0;
 
     double steadyWallMicros_ = 0.0;
     double baselineWallMicros_ = 0.0;
+    /** Steady iterations asked for so far (the fallback target). */
     std::int64_t steadyIterations_ = 0;
-    /** Steady iterations completed without fault (fallback target). */
-    std::int64_t completedIters_ = 0;
 };
 
 } // namespace macross::interp

@@ -21,7 +21,7 @@
  * blocks (a partial block has holes) and the consumer may only release
  * whole blocks (it still reads mapped slots behind its own pop
  * cursor). `publishTailExact`/`publishHeadExact` force the residue out
- * at iteration barriers, when the other side is parked.
+ * at the end of each chunk of iterations.
  *
  * Waits spin briefly then yield (the repo's tests run on small
  * machines, where a worker that spins without yielding starves the
@@ -60,11 +60,10 @@ class SpscRing {
   public:
     /**
      * @param min_slots  Minimum capacity in elements (rounded up to a
-     *                   power of two). Size it so the producer can run
-     *                   a full scheduling batch ahead of the consumer
-     *                   without wrapping onto unconsumed data — then
-     *                   only consumers ever wait, which makes deadlock
-     *                   impossible on an acyclic stream graph.
+     *                   power of two). At least the tape's serial
+     *                   buffer bound plus block slack, which keeps
+     *                   workers that fire in serial order deadlock
+     *                   free (interp/parallel_runner.h).
      * @param head_block Consumer-side publication granularity
      *                   (rate x simdWidth for a read-transposed tape,
      *                   1 otherwise).
@@ -205,7 +204,7 @@ class SpscRing {
      * Make every current and future waitWritable/waitReadable panic
      * promptly instead of spinning toward the 120 s timeout. Used by
      * the watchdog to release workers whose peer died; the worker's
-     * batch loop catches the panic and parks.
+     * worker loop catches the panic and parks.
      */
     void abortWaits() { aborted_.store(true, std::memory_order_release); }
 

@@ -46,7 +46,7 @@ cyclesPerElement(const vectorizer::CompiledProgram& p,
 {
     auto cycles = profileActors(p, m);
     Partition part =
-        partitionGreedy(p.graph, p.schedule, cycles, cores);
+        partitionLpt(p.graph, p.schedule, cycles, cores);
     MulticoreEstimate est =
         estimateMulticore(p.graph, p.schedule, part,
                           comm.perWordCycles, comm.syncCycles);

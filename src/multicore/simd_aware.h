@@ -5,7 +5,8 @@
  *
  * Mirrors the paper's scheduler policy: evaluate the scalar program
  * partitioned over N cores, the macro-SIMDized program partitioned
- * over N cores, and the macro-SIMDized program on a single core; "if
+ * over N cores (both with partitionLpt, the paper's naive
+ * partitioner), and the macro-SIMDized program on a single core; "if
  * multi-core partitioning removes most of the benefits of the
  * SIMDization and the scheduler has to choose between SIMDization and
  * multi-core execution, it always chooses SIMDization" — i.e. the
@@ -20,12 +21,6 @@
 #include "vectorizer/pipeline.h"
 
 namespace macross::multicore {
-
-/** Communication model for the multicore estimate. */
-struct CommModel {
-    double perWordCycles = 12.0;
-    double syncCycles = 200.0;
-};
 
 /** Outcome of SIMD-aware scheduling. */
 struct SimdAwareDecision {

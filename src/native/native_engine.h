@@ -55,7 +55,7 @@
  * Shutdown: SpscRing::abortWaits() makes emitted wait loops call the
  * binding's fail() callback, which panics host-side; the PanicError
  * unwinds through the emitted frames (compiled with exceptions
- * enabled) into the worker's batch loop, exactly like an interp
+ * enabled) into the worker's loop, exactly like an interp
  * worker parked by the watchdog.
  */
 #pragma once

@@ -5,8 +5,10 @@
  * same captured output bits and the same modeled per-actor cycles —
  * at 1, 2, and 4 threads, on every suite benchmark and a battery of
  * random programs, under scalar, macro-SIMDized, and SAGU-transposed
- * configurations. Small batches force several batch barriers per run
- * so the cross-batch ring flush paths are on trial too.
+ * configurations, over both partitioners: LPT (every requested core,
+ * cyclic core graphs) and the contiguous pipeline partitioner. Small
+ * chunks force several chunk-end ring flushes per run so those paths
+ * are on trial too.
  */
 #include <gtest/gtest.h>
 
@@ -50,13 +52,14 @@ expectParallelMatchesSerial(const vectorizer::CompiledProgram& p,
                             const machine::MachineDesc& m)
 {
     const SerialRun serial = runSerial(p, m);
+    for (const testutil::Partitioner& pt : testutil::kPartitioners)
     for (int threads : {1, 2, 4}) {
-        SCOPED_TRACE(std::to_string(threads) + " threads");
-        multicore::Partition part = multicore::partitionGreedy(
-            p.graph, p.schedule, serial.actorCycles, threads);
+        SCOPED_TRACE(std::to_string(threads) + " threads, " + pt.name);
+        multicore::Partition part =
+            pt.fn(p.graph, p.schedule, serial.actorCycles, threads);
         machine::CostSink cost(m);
         ParallelRunner::Options opt;
-        opt.batchIterations = 4;  // 10 iters -> batches of 4, 4, 2.
+        opt.batchIterations = 4;  // 10 iters -> chunks of 4, 4, 2.
         ParallelRunner pr(p.graph, p.schedule, part, &cost,
                           EngineConfig(ExecEngine::Bytecode), opt);
         pr.runInit();

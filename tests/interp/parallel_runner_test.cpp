@@ -2,15 +2,23 @@
  * @file
  * Unit tests for the parallel steady-state runtime: deterministic
  * CostSink merging, basic multithreaded execution against the serial
- * runner, stats reporting, and repeated-run accumulation.
+ * runner, producers blocking on full rings, stats reporting, and
+ * repeated-run accumulation.
  */
 #include "interp/parallel_runner.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+
 #include "../test_util.h"
 #include "benchmarks/suite.h"
 #include "machine/machine_desc.h"
+#include "support/fault.h"
 
 namespace macross::interp {
 namespace {
@@ -166,6 +174,7 @@ TEST(ParallelRunner, StatsReportParallelSection)
     ASSERT_TRUE(stats.contains("parallel"));
     const json::Value& par = *stats.find("parallel");
     EXPECT_EQ(par.find("threads")->asInt(), 2);
+    EXPECT_EQ(par.find("threadsRequested")->asInt(), 2);
     EXPECT_EQ(par.find("coreLoad")->size(), 2u);
     EXPECT_EQ(par.find("coreOf")->size(), p.graph.actors.size());
     ASSERT_TRUE(par.contains("rings"));
@@ -195,6 +204,72 @@ TEST(ParallelRunner, SingleCoreNeedsNoRings)
     for (std::size_t i = 0; i < p.graph.tapes.size(); ++i)
         EXPECT_FALSE(pr.runner().tapeAt(static_cast<int>(i))
                          .ringBacked());
+}
+
+/**
+ * Producers that block on a full ring: rings at their smallest (floor
+ * of one slot, one-iteration chunks), one runSteady of 2000 iterations,
+ * and the sink's worker held back at its first chunks so every worker
+ * upstream of it fills its rings and waits. The output must stay
+ * bit-identical to serial on both engines, over both partitioners, at
+ * 2 and 4 threads.
+ */
+TEST(ParallelRunner, BlockedProducersStayBitIdentical)
+{
+    support::FaultInjector::instance().reset();
+    vectorizer::SimdizeOptions opts;
+    opts.forceSimdize = true;
+    opts.machine = machine::coreI7();
+    auto p = vectorizer::macroSimdize(benchmarks::makeFmRadio(), opts);
+    constexpr int kIters = 2000;
+
+    Runner serial(p.graph, p.schedule, nullptr,
+                  EngineConfig(ExecEngine::Bytecode));
+    serial.runInit();
+    serial.runSteady(kIters);
+
+    auto cycles = profileActorCycles(p, opts.machine);
+    int sink = -1;
+    for (const auto& a : p.graph.actors) {
+        if (a.outputs.empty() && !a.inputs.empty())
+            sink = a.id;
+    }
+    ASSERT_GE(sink, 0);
+
+    for (ExecEngine engine : {ExecEngine::Bytecode, ExecEngine::Native})
+    for (const testutil::Partitioner& pt : testutil::kPartitioners)
+    for (int threads : {2, 4}) {
+        SCOPED_TRACE(std::string(toString(engine)) + ", " + pt.name +
+                     ", " + std::to_string(threads) + " threads");
+        multicore::Partition part =
+            pt.fn(p.graph, p.schedule, cycles, threads);
+        ASSERT_GT(part.cores, 1);
+
+        const std::int64_t sinkWorker = part.coreOf[sink];
+        auto held = std::make_shared<std::atomic<int>>(0);
+        support::FaultInjector::instance().arm(
+            "parallel.worker.batch",
+            [sinkWorker, held](std::int64_t* worker) {
+                if (*worker == sinkWorker && held->fetch_add(1) < 3)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+            });
+
+        EngineConfig config(engine);
+        config.simd.laneWidth = 4;
+        config.ringCapacity = 1;
+        ParallelRunner::Options opt;
+        opt.batchIterations = 1;
+        ParallelRunner pr(p.graph, p.schedule, part, nullptr, config,
+                          opt);
+        pr.runInit();
+        pr.runSteady(kIters);
+        support::FaultInjector::instance().reset();
+
+        EXPECT_FALSE(pr.degradedToSerial());
+        EXPECT_EQ(held->load(), kIters);
+        testutil::expectSameStream(serial.captured(), pr.captured());
+    }
 }
 
 TEST(ParallelRunner, RejectsBadPartition)

@@ -47,15 +47,16 @@ profileActorCycles(const vectorizer::CompiledProgram& p,
     return out;
 }
 
-/** Stall one worker's Nth batch passage long past the watchdog. */
+/** Stall worker 0 at the start of its chunk @p chunk, long past the
+ *  watchdog (the site's payload is the worker id). */
 void
-armStallOnPassage(int passage, int stall_ms)
+armStallOnChunk(int chunk, int stall_ms)
 {
     auto count = std::make_shared<std::atomic<int>>(0);
     support::FaultInjector::instance().arm(
         "parallel.worker.batch",
-        [count, passage, stall_ms](std::int64_t*) {
-            if (count->fetch_add(1) + 1 == passage)
+        [count, chunk, stall_ms](std::int64_t* worker) {
+            if (*worker == 0 && count->fetch_add(1) + 1 == chunk)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(stall_ms));
         });
@@ -73,16 +74,16 @@ runStallScenario(int threads)
     serial.runSteady(12);
 
     auto cycles = profileActorCycles(p, m);
-    multicore::Partition part = multicore::partitionGreedy(
+    multicore::Partition part = multicore::partitionLpt(
         p.graph, p.schedule, cycles, threads);
     machine::CostSink parCost(m);
     ParallelRunner::Options opt;
-    opt.batchIterations = 4;  // 12 iterations = 3 batches.
+    opt.batchIterations = 4;  // 12 iterations = 3 chunks.
     opt.watchdogMs = 75;
-    // Batch 1 completes (threads passages), then the first worker of
-    // batch 2 stalls far past the watchdog — so the fallback has a
-    // non-empty captured prefix to verify against.
-    armStallOnPassage(threads + 1, 800);
+    // Chunk 1 completes, then worker 0 stalls at the start of chunk 2
+    // far past the watchdog — so the fallback has a non-empty captured
+    // prefix to verify against.
+    armStallOnChunk(2, 800);
     ParallelRunner pr(p.graph, p.schedule, part, &parCost,
                       EngineConfig(ExecEngine::Bytecode), opt);
     pr.runInit();
@@ -149,12 +150,12 @@ TEST_F(WatchdogTest, WorkerExceptionBecomesStructuredFault)
     machine::MachineDesc m = machine::coreI7();
     auto cycles = profileActorCycles(p, m);
     multicore::Partition part =
-        multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
+        multicore::partitionLpt(p.graph, p.schedule, cycles, 2);
     ParallelRunner::Options opt;
     opt.watchdogMs = 2000;
-    // Every worker's batch entry throws: the batch completes with
-    // errors recorded (nobody blocks on a peer's ring), so detection
-    // takes the workerError path rather than the stall timeout.
+    // Every worker's first chunk throws: the dispatch wakes on the
+    // first error, so detection takes the workerError path rather
+    // than the stall timeout.
     support::FaultInjector::instance().arm(
         "parallel.worker.batch",
         [](std::int64_t*) {
@@ -188,7 +189,7 @@ TEST_F(WatchdogTest, NoWatchdogRethrowsWorkerException)
     machine::MachineDesc m = machine::coreI7();
     auto cycles = profileActorCycles(p, m);
     multicore::Partition part =
-        multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
+        multicore::partitionLpt(p.graph, p.schedule, cycles, 2);
     support::FaultInjector::instance().arm(
         "parallel.worker.batch",
         [](std::int64_t*) {
@@ -226,13 +227,13 @@ runNativeStallScenario(int threads)
     serial.runSteady(12);
 
     auto cycles = profileActorCycles(p, m);
-    multicore::Partition part = multicore::partitionGreedy(
+    multicore::Partition part = multicore::partitionLpt(
         p.graph, p.schedule, cycles, threads);
     machine::CostSink parCost(m);
     ParallelRunner::Options opt;
-    opt.batchIterations = 4;  // 12 iterations = 3 batches.
+    opt.batchIterations = 4;  // 12 iterations = 3 chunks.
     opt.watchdogMs = 75;
-    armStallOnPassage(threads + 1, 800);
+    armStallOnChunk(2, 800);
     ParallelRunner pr(p.graph, p.schedule, part, &parCost, config,
                       opt);
     pr.runInit();
@@ -281,7 +282,7 @@ TEST_F(WatchdogTest, HealthyRunReportsNoFaults)
     machine::MachineDesc m = machine::coreI7();
     auto cycles = profileActorCycles(p, m);
     multicore::Partition part =
-        multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
+        multicore::partitionLpt(p.graph, p.schedule, cycles, 2);
     ParallelRunner::Options opt;
     opt.watchdogMs = 5000;  // Generous: must never fire.
     ParallelRunner pr(p.graph, p.schedule, part, nullptr,

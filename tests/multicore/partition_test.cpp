@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+
 #include "support/diagnostics.h"
 #include "../test_util.h"
 #include "benchmarks/suite.h"
@@ -117,14 +121,162 @@ TEST(Partition, EdgeCrossWordsDecomposeCommWords)
     EXPECT_EQ(sum, part.commWords);
 }
 
+/** Suite programs, scalar and macro-SIMDized, with profiled weights. */
+struct Profiled {
+    std::string name;
+    vectorizer::CompiledProgram p;
+    std::vector<double> cycles;
+};
+
+std::vector<Profiled>
+profiledSuite()
+{
+    vectorizer::SimdizeOptions opts;
+    opts.forceSimdize = true;
+    opts.machine = machine::coreI7();
+    std::vector<Profiled> out;
+    for (const auto& b : benchmarks::standardSuite()) {
+        for (bool simd : {false, true}) {
+            Profiled x;
+            x.name = b.name + (simd ? " macro" : " scalar");
+            x.p = simd ? vectorizer::macroSimdize(b.program, opts)
+                       : vectorizer::compileScalar(b.program);
+            x.cycles = profileActorCycles(x.p, opts.machine, 4);
+            out.push_back(std::move(x));
+        }
+    }
+    return out;
+}
+
+TEST(Partition, GreedyCrossingTapesRunFromLowerToHigherCore)
+{
+    for (const Profiled& x : profiledSuite()) {
+        for (int cores : {2, 3, 4}) {
+            SCOPED_TRACE(x.name + " @ " + std::to_string(cores));
+            Partition part = partitionGreedy(x.p.graph, x.p.schedule,
+                                             x.cycles, cores);
+            for (const auto& t : x.p.graph.tapes)
+                EXPECT_LE(part.coreOf[t.src], part.coreOf[t.dst])
+                    << "tape " << t.id;
+        }
+    }
+}
+
+TEST(Partition, GreedyUsesAtMostRequestedCoresAndAgreesWithEstimate)
+{
+    for (const Profiled& x : profiledSuite()) {
+        for (int cores : {1, 2, 4}) {
+            SCOPED_TRACE(x.name + " @ " + std::to_string(cores));
+            Partition part = partitionGreedy(x.p.graph, x.p.schedule,
+                                             x.cycles, cores);
+            EXPECT_GE(part.cores, 1);
+            EXPECT_LE(part.cores, cores);
+            EXPECT_EQ(part.requestedCores, cores);
+            ASSERT_EQ(part.coreLoad.size(),
+                      static_cast<std::size_t>(part.cores));
+
+            // coreLoad is the per-core sum of the weights, and every
+            // core used holds at least one actor.
+            std::vector<double> load(part.cores, 0.0);
+            std::vector<int> actors(part.cores, 0);
+            for (const auto& a : x.p.graph.actors) {
+                ASSERT_GE(part.coreOf[a.id], 0);
+                ASSERT_LT(part.coreOf[a.id], part.cores);
+                load[part.coreOf[a.id]] += x.cycles[a.id];
+                ++actors[part.coreOf[a.id]];
+            }
+            for (int c = 0; c < part.cores; ++c) {
+                EXPECT_NEAR(part.coreLoad[c], load[c],
+                            1e-9 * (1.0 + load[c]));
+                EXPECT_GT(actors[c], 0) << "core " << c;
+            }
+
+            MulticoreEstimate e = estimateMulticore(
+                x.p.graph, x.p.schedule, part, 12.0, 200.0);
+            std::int64_t words = 0;
+            for (std::int64_t w : e.edgeCrossWords)
+                words += w;
+            EXPECT_EQ(words, part.commWords);
+            EXPECT_EQ(e.maxLoad, *std::max_element(part.coreLoad.begin(),
+                                                   part.coreLoad.end()));
+            if (part.cores == 1)
+                EXPECT_EQ(part.commWords, 0);
+        }
+    }
+}
+
+TEST(Partition, GreedyIsDeterministic)
+{
+    for (const Profiled& x : profiledSuite()) {
+        SCOPED_TRACE(x.name);
+        Partition a =
+            partitionGreedy(x.p.graph, x.p.schedule, x.cycles, 4);
+        Partition b =
+            partitionGreedy(x.p.graph, x.p.schedule, x.cycles, 4);
+        EXPECT_EQ(a.cores, b.cores);
+        EXPECT_EQ(a.coreOf, b.coreOf);
+        EXPECT_EQ(a.coreLoad, b.coreLoad);
+        EXPECT_EQ(a.commWords, b.commWords);
+    }
+}
+
+TEST(Partition, GreedyKeepsADominantActorOnOneCore)
+{
+    // Macro-SIMDized MP3Decoder spends almost all of its cycles in one
+    // actor: no cut can take 10% off the bottleneck.
+    vectorizer::SimdizeOptions opts;
+    opts.forceSimdize = true;
+    opts.machine = machine::coreI7();
+    auto p = vectorizer::macroSimdize(benchmarks::makeMp3Decoder(), opts);
+    auto cycles = profileActorCycles(p, opts.machine);
+    const double total =
+        std::accumulate(cycles.begin(), cycles.end(), 0.0);
+    EXPECT_GT(*std::max_element(cycles.begin(), cycles.end()),
+              0.9 * total);
+    Partition part = partitionGreedy(p.graph, p.schedule, cycles, 4);
+    EXPECT_EQ(part.cores, 1);
+    EXPECT_EQ(part.requestedCores, 4);
+    EXPECT_EQ(part.commWords, 0);
+}
+
+TEST(Partition, GreedySplitsABalancedPipeline)
+{
+    // Macro-SIMDized FMRadio has no dominant actor: cutting it pays.
+    vectorizer::SimdizeOptions opts;
+    opts.forceSimdize = true;
+    opts.machine = machine::coreI7();
+    auto p = vectorizer::macroSimdize(benchmarks::makeFmRadio(), opts);
+    auto cycles = profileActorCycles(p, opts.machine);
+    Partition part = partitionGreedy(p.graph, p.schedule, cycles, 4);
+    EXPECT_GT(part.cores, 1);
+}
+
+TEST(Partition, LptUsesEveryRequestedCore)
+{
+    auto p = vectorizer::compileScalar(benchmarks::makeFilterBank());
+    auto cycles = profileActorCycles(p, machine::coreI7());
+    Partition part = partitionLpt(p.graph, p.schedule, cycles, 4);
+    EXPECT_EQ(part.cores, 4);
+    EXPECT_EQ(part.requestedCores, 4);
+    std::vector<int> actors(4, 0);
+    for (const auto& a : p.graph.actors)
+        ++actors[part.coreOf[a.id]];
+    for (int n : actors)
+        EXPECT_GT(n, 0);
+}
+
 TEST(Partition, RejectsBadInputs)
 {
     auto p = vectorizer::compileScalar(benchmarks::makeFmRadio());
     std::vector<double> cycles(p.graph.actors.size(), 1.0);
     EXPECT_THROW(partitionGreedy(p.graph, p.schedule, cycles, 0),
                  FatalError);
+    EXPECT_THROW(partitionLpt(p.graph, p.schedule, cycles, 0),
+                 FatalError);
     cycles.pop_back();
     EXPECT_THROW(partitionGreedy(p.graph, p.schedule, cycles, 2),
+                 FatalError);
+    EXPECT_THROW(partitionLpt(p.graph, p.schedule, cycles, 2),
                  FatalError);
 }
 

@@ -50,7 +50,8 @@ smallProgram()
         benchmarks::makeRunningExample());
 }
 
-/** partitionGreedy over two cores, weighted by a modeled profile. */
+/** partitionLpt over exactly two cores, weighted by a modeled
+ *  profile. */
 multicore::Partition
 twoCorePartition(const vectorizer::CompiledProgram& p)
 {
@@ -64,7 +65,7 @@ twoCorePartition(const vectorizer::CompiledProgram& p)
     std::vector<double> weights(p.graph.actors.size());
     for (const auto& a : p.graph.actors)
         weights[a.id] = cost.actorCycles(a.id);
-    return multicore::partitionGreedy(p.graph, p.schedule, weights, 2);
+    return multicore::partitionLpt(p.graph, p.schedule, weights, 2);
 }
 
 class CrashContainment : public ::testing::Test {

@@ -11,9 +11,10 @@
  *
  * The partition weights come from a modeled bytecode profiling run —
  * the same weights any caller of partitionGreedy would use — so the
- * partitions exercised here are the real ones, not synthetic splits.
- * Small batches force several batch barriers (and therefore emitted
- * flush_tail/flush_head paths) per run.
+ * partitions exercised here are the real ones, not synthetic splits:
+ * LPT's (every requested core, cyclic core graphs) and the pipeline
+ * partitioner's. Small chunks force several emitted
+ * flush_tail/flush_head passes per run.
  *
  * Modeled cycles are NOT compared: the native engine measures wall
  * clock instead of accumulating the machine model (DESIGN.md §12).
@@ -85,12 +86,14 @@ expectParallelNativeMatchesUnder(const graph::StreamPtr& program,
         testutil::expectSameStream(vm.captured(),
                                    serialNative.captured());
 
+        for (const testutil::Partitioner& pt : testutil::kPartitioners)
         for (int threads : {1, 2, 4}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads");
-            multicore::Partition part = multicore::partitionGreedy(
-                p.graph, p.schedule, weights, threads);
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         pt.name);
+            multicore::Partition part =
+                pt.fn(p.graph, p.schedule, weights, threads);
             ParallelRunner::Options opt;
-            opt.batchIterations = 4;  // 10 iters -> 3 batch barriers.
+            opt.batchIterations = 4;  // 10 iters -> 3 chunks.
             ParallelRunner pr(p.graph, p.schedule, part, nullptr,
                               config, opt);
             pr.runInit();
@@ -186,7 +189,7 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     for (const auto& a : p.graph.actors)
         weights[a.id] = cost.actorCycles(a.id);
     multicore::Partition part =
-        multicore::partitionGreedy(p.graph, p.schedule, weights, 2);
+        multicore::partitionLpt(p.graph, p.schedule, weights, 2);
 
     EngineConfig config(ExecEngine::Native);
     config.simd.laneWidth = 4;

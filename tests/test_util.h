@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "interp/runner.h"
+#include "multicore/partition.h"
 #include "support/ulp.h"
 #include "vectorizer/pipeline.h"
 
@@ -97,5 +98,23 @@ cyclesPerElement(const vectorizer::CompiledProgram& p,
     EXPECT_GT(produced, 0u);
     return cost.totalCycles() / static_cast<double>(produced);
 }
+
+/** A partitioner under test, by name. */
+struct Partitioner {
+    const char* name;
+    multicore::Partition (*fn)(const graph::FlatGraph&,
+                               const schedule::Schedule&,
+                               const std::vector<double>&, int);
+};
+
+/**
+ * The partitions the parallel runtimes must execute correctly: LPT
+ * (exact core count, cyclic core graphs) and the contiguous pipeline
+ * partitioner the CLI, tuner and benches run.
+ */
+inline const Partitioner kPartitioners[] = {
+    {"lpt", &multicore::partitionLpt},
+    {"greedy", &multicore::partitionGreedy},
+};
 
 } // namespace macross::testutil

@@ -45,6 +45,15 @@ runCli(const std::string& args)
     return std::system(cmd.c_str());
 }
 
+/** Like runCli, but keeps the child's stdout in @p out_file. */
+int
+runCliTo(const std::string& args, const std::string& out_file)
+{
+    std::string cmd = std::string(MACROSS_CLI_PATH) + " " + args +
+                      " > " + out_file + " 2>/dev/null";
+    return std::system(cmd.c_str());
+}
+
 /** Like runCli, but decodes the child's actual exit status. */
 int
 runCliExitCode(const std::string& args)
@@ -211,6 +220,7 @@ TEST(CliReport, ThreadsFlagReportsParallelSectionWithSameCycles)
     const json::Value* p = stats->find("parallel");
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->find("threads")->asInt(), 2);
+    EXPECT_EQ(p->find("threadsRequested")->asInt(), 2);
     ASSERT_GT(p->find("coreOf")->size(), 0u);
     EXPECT_EQ(p->find("coreLoad")->size(), 2u);
     ASSERT_GT(p->find("rings")->size(), 0u);
@@ -230,6 +240,30 @@ TEST(CliReport, ThreadsFlagReportsParallelSectionWithSameCycles)
 
     std::remove(serialOut.c_str());
     std::remove(parOut.c_str());
+}
+
+TEST(CliReport, ThreadsFlagSaysHowManyCoresRan)
+{
+    // Macro-SIMDized MP3Decoder is one dominant actor: the partitioner
+    // declines to split it, and the report says so.
+    const std::string out = "cli_report_cores_out.json";
+    const std::string text = "cli_report_cores_out.txt";
+    std::remove(out.c_str());
+    std::remove(text.c_str());
+    ASSERT_EQ(runCliTo("--bench MP3Decoder --simd --run 8 --threads 4 "
+                       "--json-report " + out,
+                       text),
+              0);
+    EXPECT_NE(readFile(text).find("parallel run on 1 of 4 cores"),
+              std::string::npos);
+    json::Value root = json::parse(readFile(out));
+    const json::Value* p = root.find("run")->find("stats")->find("parallel");
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->find("threads")->asInt(), 1);
+    EXPECT_EQ(p->find("threadsRequested")->asInt(), 4);
+    EXPECT_EQ(p->find("coreLoad")->size(), 1u);
+    std::remove(out.c_str());
+    std::remove(text.c_str());
 }
 
 TEST(CliReport, EmitHonorsRunCountAndPrintLimit)

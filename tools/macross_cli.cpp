@@ -826,8 +826,9 @@ main(int argc, char** argv)
         }
 
         // --threads N: repeat the same steady iterations on a worker
-        // pool over a greedy partition, with the serial run above as
-        // the profiling source and the wall-clock baseline.
+        // pool over a pipeline partition of at most N cores, with the
+        // serial run above as the profiling source and the wall-clock
+        // baseline.
         std::unique_ptr<machine::CostSink> parCost;
         std::unique_ptr<interp::ParallelRunner> par;
         if (cfg.threads > 1) {
@@ -878,8 +879,8 @@ main(int argc, char** argv)
                 identical = par->captured()[i].rawBits(0) ==
                             r.captured()[i].rawBits(0);
             }
-            std::printf("\nparallel run on %d threads:\n",
-                        cfg.threads);
+            std::printf("\nparallel run on %d of %d cores:\n",
+                        part.cores, cfg.threads);
             for (int c = 0; c < part.cores; ++c) {
                 std::printf("  core %d: %12.0f modeled cycles\n", c,
                             part.coreLoad[c]);
