@@ -79,10 +79,17 @@ enum class EmitMode {
  *     macross_run_steady_partition / macross_sink_partition, and the
  *     capture exports macross_capture_size / macross_capture_data,
  *     which take the sink partition's handle. Every object has this
- *     one symbol set, serial (one partition) or parallel. Any other
- *     version is refused with a FatalError naming both.
+ *     one symbol set, serial (one partition) or parallel.
+ * v4: everything in v3, plus macross_capture_consume(sink handle),
+ *     which empties the emitted sink's recorded buffer and keeps its
+ *     capacity. The host copies the new lanes into its own log at
+ *     every batch barrier and then consumes them, so the emitted
+ *     capture holds one batch at most instead of the whole history.
+ *
+ * Any version other than the current one is refused with a
+ * FatalError naming both.
  */
-inline constexpr int kNativeAbiVersion = 3;
+inline constexpr int kNativeAbiVersion = 4;
 
 /** Code-generation options. */
 struct EmitOptions {

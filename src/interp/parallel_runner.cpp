@@ -183,7 +183,6 @@ ParallelRunner::runInit()
     // init schedule ever consumes, so one thread suffices).
     if (native_) {
         native_->init();
-        native_->appendCaptured(nativeCaptured_);
         return;
     }
     runner_.runInit();
@@ -444,16 +443,16 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
     // 1-2. Park the pool (stop flag, ring-wait aborts, grace
     // join/detach).
     fault.cleanShutdown = shutdownPool();
-    // 3. Snapshot the parallel run's captures for verification. The
-    // sink worker appends in serial order even mid-slice, so whatever
-    // is there is a prefix of the serial stream — but only a clean
-    // shutdown guarantees nobody is still appending.
-    std::vector<Value> prefix;
-    if (fault.cleanShutdown) {
-        if (native_)
-            native_->appendCaptured(nativeCaptured_);
-        prefix = captured();
-    }
+    // 3. The parallel run's captures, for verification. The sink
+    // worker appends in serial order even mid-slice, so whatever is
+    // there is a prefix of the serial stream, but only a clean
+    // shutdown guarantees nobody is still appending. A native
+    // dispatch that crashed in emitted code is never exported: the
+    // native log then ends at the last healthy dispatch's barrier.
+    if (native_ && fault.cleanShutdown && fault.kind != "nativeFault")
+        native_->exportCaptured();
+    const CapturedStream& prefix =
+        native_ ? native_->captured() : runner_.captured();
 
     // 4. Fresh serial runner over the same graph/schedule/configs;
     // replay the entire steady history from scratch. Its cost sink
@@ -478,11 +477,7 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
     // 5. Prefix verification: every element the parallel run captured
     // must be bitwise identical to the serial replay.
     if (fault.cleanShutdown) {
-        const std::vector<Value>& serial = fallback_->captured();
-        bool ok = prefix.size() <= serial.size();
-        for (std::size_t i = 0; ok && i < prefix.size(); ++i)
-            ok = prefix[i] == serial[i];
-        fault.fallbackVerified = ok;
+        fault.fallbackVerified = prefix.isPrefixOf(fallback_->captured());
         fault.verifiedElements =
             static_cast<std::int64_t>(prefix.size());
     }
@@ -539,12 +534,10 @@ ParallelRunner::runSteady(int iterations)
         return;
 
     // Every worker finished its slice and is parked, so the emitted
-    // sink buffer is quiescent and its new elements can be mirrored
-    // for captured().
-    if (native_) {
+    // sink buffer is quiescent: endBatch moves its new lanes into the
+    // host log.
+    if (native_)
         native_->endBatch();
-        native_->appendCaptured(nativeCaptured_);
-    }
 
     if (cost_ && !native_) {
         // Per-thread sinks are cumulative, so the merge rebuilds the

@@ -131,7 +131,10 @@ struct ParallelFault {
     /**
      * The parallel run's captured prefix was bitwise re-verified
      * against the serial fallback (only attempted after a clean
-     * shutdown; a detached worker could still be appending).
+     * shutdown; a detached worker could still be appending). Under
+     * the native engine a crash in emitted code ends the prefix at
+     * the last healthy dispatch: the crashed one never reaches the
+     * host log.
      */
     bool fallbackVerified = false;
     /** Elements the prefix verification covered. */
@@ -192,11 +195,14 @@ class ParallelRunner {
      */
     void runUntilCaptured(std::int64_t n, int max_iters = 100000);
 
-    const std::vector<Value>& captured() const
+    /** The sink's output stream so far, as raw lanes: the serial
+     *  fallback's after degradation, else the partitioned program's
+     *  host log (native) or the shared runner's capture. */
+    const CapturedStream& captured() const
     {
         if (fallback_)
             return fallback_->captured();
-        return native_ ? nativeCaptured_ : runner_.captured();
+        return native_ ? native_->captured() : runner_.captured();
     }
 
     /** Native build/run stats (null unless running Native). After
@@ -205,6 +211,12 @@ class ParallelRunner {
     const native::NativeStats* nativeStats() const
     {
         return native_ ? &native_->stats() : nullptr;
+    }
+
+    /** The partitioned native program (null unless running Native). */
+    const native::NativeProgram* nativeProgram() const
+    {
+        return native_.get();
     }
 
     /** Faults detected so far (empty on a healthy run). */
@@ -346,9 +358,6 @@ class ParallelRunner {
 
     /** Compiled per-core sub-programs (ExecEngine::Native only). */
     std::unique_ptr<native::NativeProgram> native_;
-    /** Sink mirror of native_, extended at the end of every
-     *  runSteady so captured() can hand out a stable reference. */
-    std::vector<Value> nativeCaptured_;
 
     /** Replayed onto the fallback runner (setActorConfig history). */
     std::vector<std::pair<int, ActorExecConfig>> actorConfigs_;

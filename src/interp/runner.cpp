@@ -38,24 +38,6 @@ toString(DegradeMode m)
     return "unknown";
 }
 
-namespace {
-
-/** Bitwise-compare @p prefix against the leading elements of @p full. */
-bool
-isBitwisePrefix(const std::vector<Value>& prefix,
-                const std::vector<Value>& full)
-{
-    if (prefix.size() > full.size())
-        return false;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-        if (!(prefix[i] == full[i]))
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
 Runner::Runner(const graph::FlatGraph& g, const schedule::Schedule& s,
                machine::CostSink* cost, EngineConfig config)
     : graph_(&g), sched_(&s), cost_(cost),
@@ -90,11 +72,14 @@ Runner::Runner(const graph::FlatGraph& g, const schedule::Schedule& s,
     }
 
     // Capture at the sink: the unique filter with an input and no
-    // output. The tape appends popped elements straight into
-    // captured_ (a plain buffer pointer on the pop fast path).
+    // output. The tape appends the raw lane of every popped element
+    // straight into captured_ (a plain buffer pointer on the pop fast
+    // path).
     for (const auto& a : g.actors) {
-        if (a.isFilter() && a.outputs.empty() && !a.inputs.empty())
+        if (a.isFilter() && a.outputs.empty() && !a.inputs.empty()) {
             sinkTapes_.push_back(tapes_[a.inputs[0]].get());
+            captured_.setElemType(g.tape(a.inputs[0]).elem);
+        }
     }
     for (Tape* t : sinkTapes_)
         t->setCaptureBuffer(&captured_);
@@ -221,12 +206,13 @@ Runner::buildLadder()
 void
 Runner::degradeFromNative(std::int64_t completed_iters)
 {
-    // The last successful batch boundary: runSteady appends the
-    // native capture only after a healthy batch, and the crashed one
-    // never updated it, so this is a clean prefix of the serial
-    // stream even though the emitted program's own state is garbage.
-    std::vector<Value> prefix = std::move(captured_);
-    captured_.clear();
+    // The native log as of the last successful batch barrier: a
+    // crashed batch is never exported, so this is a clean prefix of
+    // the serial stream even though the emitted program's own state
+    // is garbage. (No program at all when the build itself failed.)
+    static const CapturedStream kNoOutput;
+    const CapturedStream& prefix =
+        native_ ? native_->captured() : kNoOutput;
     if (!ladder_)
         buildLadder();
     if (!ladder_->initDone())
@@ -242,7 +228,7 @@ Runner::degradeFromNative(std::int64_t completed_iters)
     degradeVerified_ =
         prefix.empty() ||
         (!config_.simd.allowUlpDivergence &&
-         isBitwisePrefix(prefix, ladder_->captured()));
+         prefix.isPrefixOf(ladder_->captured()));
     verifiedElements_ = degradeVerified_
                             ? static_cast<std::int64_t>(prefix.size())
                             : 0;
@@ -598,7 +584,6 @@ Runner::runInit()
             degradeFromNative(0);
             return;
         }
-        native_->appendCaptured(captured_);
         if (trace_ && trace_->enabled()) {
             const native::NativeStats& st = native_->stats();
             json::Value payload = json::Value::object();
@@ -615,16 +600,7 @@ Runner::runInit()
             // init-phase capture immediately.
             buildLadder();
             ladder_->runInit();
-            if (!config_.simd.allowUlpDivergence) {
-                fatalIf(captured_.size() !=
-                                ladder_->captured().size() ||
-                            !isBitwisePrefix(captured_,
-                                             ladder_->captured()),
-                        "degrade=always: native init capture diverged "
-                        "from the bytecode shadow (", captured_.size(),
-                        " native vs ", ladder_->captured().size(),
-                        " shadow elements)");
-            }
+            checkShadow("init capture");
         }
         return;
     }
@@ -694,7 +670,6 @@ Runner::runSteady(int iterations)
             return;
         }
         steadyIters_ += iterations;
-        native_->appendCaptured(captured_);
         if (trace_ && trace_->enabled()) {
             trace_->count("interp.steadyIterations", iterations);
             json::Value payload = json::Value::object();
@@ -706,18 +681,7 @@ Runner::runSteady(int iterations)
         if (config_.degrade == DegradeMode::Always) {
             ladder_->runSteady(iterations);
             ladderIters_ += iterations;
-            if (!config_.simd.allowUlpDivergence) {
-                fatalIf(captured_.size() !=
-                                ladder_->captured().size() ||
-                            !isBitwisePrefix(captured_,
-                                             ladder_->captured()),
-                        "degrade=always: native captured stream "
-                        "diverged from the bytecode shadow after ",
-                        steadyIters_, " steady iterations (",
-                        captured_.size(), " native vs ",
-                        ladder_->captured().size(),
-                        " shadow elements)");
-            }
+            checkShadow("captured stream");
         }
         return;
     }
@@ -740,6 +704,22 @@ Runner::runSteady(int iterations)
         payload["cycles"] = totalCycles() - cyclesBefore;
         trace_->event("interp", "runSteady", std::move(payload));
     }
+}
+
+void
+Runner::checkShadow(const char* when)
+{
+    if (config_.simd.allowUlpDivergence)
+        return;
+    const CapturedStream& got = native_->captured();
+    const CapturedStream& want = ladder_->captured();
+    fatalIf(got.size() != want.size() ||
+                !got.isPrefixOf(want, shadowChecked_),
+            "degrade=always: native ", when,
+            " diverged from the bytecode shadow after ", steadyIters_,
+            " steady iterations (", got.size(), " native vs ",
+            want.size(), " shadow elements)");
+    shadowChecked_ = got.size();
 }
 
 void

@@ -95,6 +95,12 @@ class Runner {
         return native_ ? &native_->stats() : nullptr;
     }
 
+    /** The one-partition native program (null unless running Native). */
+    const native::NativeProgram* nativeProgram() const
+    {
+        return native_.get();
+    }
+
     /** Record every element the sink consumes. On by default. */
     void enableCapture(bool on);
 
@@ -110,9 +116,16 @@ class Runner {
      */
     void runUntilCaptured(std::int64_t n, int max_iters = 100000);
 
-    const std::vector<Value>& captured() const
+    /**
+     * The sink's output stream so far, as raw lanes. Under the native
+     * engine it is the NativeProgram's host log (not a mirror of it);
+     * after degradation it is the ladder runner's stream.
+     */
+    const CapturedStream& captured() const
     {
-        return degraded_ ? ladder_->captured() : captured_;
+        if (degraded_)
+            return ladder_->captured();
+        return native_ ? native_->captured() : captured_;
     }
 
     /**
@@ -215,6 +228,12 @@ class Runner {
      * route all further execution through the ladder.
      */
     void degradeFromNative(std::int64_t completed_iters);
+    /**
+     * DegradeMode::Always: fatal unless the native stream equals the
+     * bytecode shadow's. Both were verified up to the last check, so
+     * only the lanes added since then are compared.
+     */
+    void checkShadow(const char* when);
 
     void fireFilter(const graph::Actor& a, Vm& vm,
                     machine::CostSink* cost);
@@ -262,8 +281,12 @@ class Runner {
     /** Steady iterations the ladder runner has executed. */
     std::int64_t ladderIters_ = 0;
     double compileMicros_ = 0.0;
+    /** Elements the Always shadow has verified so far. */
+    std::size_t shadowChecked_ = 0;
     std::vector<Tape*> sinkTapes_;
-    std::vector<Value> captured_;
+    /** Sink output of the interpreting engines (the native engine
+     *  keeps its own log in native_). */
+    CapturedStream captured_;
     bool captureEnabled_ = true;
     bool initDone_ = false;
 };

@@ -98,7 +98,7 @@ Tape::box(std::uint32_t bits) const
 void
 Tape::captureSlow(std::uint32_t bits)
 {
-    capture_->push_back(box(bits));
+    capture_->push(bits);
 }
 
 void

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "interp/captured_stream.h"
 #include "interp/value.h"
 #include "support/diagnostics.h"
 
@@ -122,12 +123,12 @@ class Tape {
     void flushRingHead();
 
     /**
-     * Capture every element the consumer pops, in consumption order,
-     * into @p buf (used to record program output at the sink). Null
-     * disables capture. A plain buffer pointer, not a callback: this
-     * sits on the hottest loop of every run.
+     * Capture the raw lane of every element the consumer pops, in
+     * consumption order, into @p buf (used to record program output
+     * at the sink). Null disables capture. A plain buffer pointer, not
+     * a callback: this sits on the hottest loop of every run.
      */
-    void setCaptureBuffer(std::vector<Value>* buf) { capture_ = buf; }
+    void setCaptureBuffer(CapturedStream* buf) { capture_ = buf; }
 
     /** Total elements ever pushed (for stats). */
     std::int64_t totalPushed() const { return totalPushed_; }
@@ -166,7 +167,7 @@ class Tape {
     TransposeSpec readT_;
     TransposeSpec writeT_;
     SpscRing* ring_ = nullptr;
-    std::vector<Value>* capture_ = nullptr;
+    CapturedStream* capture_ = nullptr;
     std::int64_t totalPushed_ = 0;
     std::int64_t maxOccupancy_ = 0;
 };

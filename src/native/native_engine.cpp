@@ -178,10 +178,11 @@ NativeProgram::NativeProgram(const graph::FlatGraph& g,
     : cores_(cores)
 {
     fatalIf(cores_ < 1, "native engine: cores must be >= 1");
+    bool hasSink = false;
     for (const auto& a : g.actors) {
         if (a.isFilter() && a.outputs.empty() && !a.inputs.empty()) {
-            hasSink_ = true;
-            sinkElem_ = g.tape(a.inputs[0]).elem;
+            hasSink = true;
+            captured_.setElemType(g.tape(a.inputs[0]).elem);
         }
     }
 
@@ -216,6 +217,7 @@ NativeProgram::NativeProgram(const graph::FlatGraph& g,
 
     fatalIf(numPartitions_() != cores_, "native engine: object reports ",
             numPartitions_(), " partitions, expected ", cores_);
+    sinkCore_ = hasSink ? sinkPartition_() : -1;
     parts_.resize(static_cast<std::size_t>(cores_), nullptr);
     for (int k = 0; k < cores_; ++k) {
         detail::runEmittedGuarded(
@@ -261,9 +263,10 @@ NativeProgram::unload()
     sinkPartition_ = nullptr;
     captureSize_ = nullptr;
     captureData_ = nullptr;
+    captureConsume_ = nullptr;
 }
 
-/** Bind the ABI v3 surface of @p so_path; fully unloads on failure. */
+/** Bind the ABI v4 surface of @p so_path; fully unloads on failure. */
 detail::BindStatus
 NativeProgram::tryBind(const std::string& so_path, int* found_abi)
 {
@@ -319,10 +322,12 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
         sym("macross_capture_size"));
     captureData_ = reinterpret_cast<const unsigned int* (*)(void*)>(
         sym("macross_capture_data"));
+    captureConsume_ = reinterpret_cast<void (*)(void*)>(
+        sym("macross_capture_consume"));
     if (!simdLanes || !simdIsa || !exact || !numPartitions_ ||
         !createPartition_ || !destroyPartition_ || !ringBind_ ||
         !initAll_ || !runSteadyPartition_ || !sinkPartition_ ||
-        !captureSize_ || !captureData_) {
+        !captureSize_ || !captureData_ || !captureConsume_) {
         unload();
         return detail::BindStatus::LoadFailed;
     }
@@ -370,6 +375,7 @@ NativeProgram::init()
     detail::runEmittedGuarded(
         "init", cores_ == 1 ? 0 : -1, /*batch_index=*/-1,
         stats_.soPath, [&] { initAll_(parts_.data(), cores_); });
+    exportCaptured();
 }
 
 void
@@ -407,6 +413,7 @@ NativeProgram::runSteadyPartition(int core, int iterations)
 void
 NativeProgram::endBatch()
 {
+    exportCaptured();
     stats_.steadyWallMicros =
         *std::max_element(wallMicros_.begin(), wallMicros_.end());
     if (quarantineCleared_ || stats_.quarantineFailures == 0)
@@ -419,37 +426,24 @@ NativeProgram::endBatch()
     quarantineCleared_ = true;
 }
 
-std::size_t
-NativeProgram::capturedSize() const
+void
+NativeProgram::exportCaptured()
 {
-    const int sinkCore = hasSink_ ? sinkPartition_() : -1;
-    if (sinkCore < 0)
+    const std::size_t n = sinkResidentLanes();
+    if (n == 0)
+        return;
+    void* sink = parts_[static_cast<std::size_t>(sinkCore_)];
+    captured_.append(captureData_(sink), n);
+    captureConsume_(sink);
+}
+
+std::size_t
+NativeProgram::sinkResidentLanes() const
+{
+    if (sinkCore_ < 0)
         return 0;
     return static_cast<std::size_t>(
-        captureSize_(parts_[static_cast<std::size_t>(sinkCore)]));
-}
-
-void
-NativeProgram::appendCaptured(std::vector<interp::Value>& out) const
-{
-    const std::size_t n = capturedSize();
-    if (n <= out.size())
-        return;
-    const unsigned int* data =
-        captureData_(parts_[static_cast<std::size_t>(sinkPartition_())]);
-    for (std::size_t i = out.size(); i < n; ++i) {
-        interp::Value v = interp::Value::zero(sinkElem_);
-        v.setRawBits(0, data[i]);
-        out.push_back(v);
-    }
-}
-
-std::vector<interp::Value>
-NativeProgram::captured() const
-{
-    std::vector<interp::Value> out;
-    appendCaptured(out);
-    return out;
+        captureSize_(parts_[static_cast<std::size_t>(sinkCore_)]));
 }
 
 } // namespace macross::native

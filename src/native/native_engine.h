@@ -13,9 +13,9 @@
  * with the spec's true-SIMD vector layer, invokes the host C++
  * compiler (`-O3 -march=native` by default; SimdSpec.isa != "auto"
  * appends an explicit -march), dlopen()s the resulting shared object,
- * and binds the ABI v3 partition surface:
+ * and binds the ABI v4 partition surface:
  *
- *     int   macross_abi_version();                  // == 3
+ *     int   macross_abi_version();                  // == 4
  *     int   macross_simd_lanes() / _simd_isa() / _exact();
  *     int   macross_num_partitions();
  *     void* macross_create_partition(int core);     // PartitionBase*
@@ -26,6 +26,7 @@
  *     int   macross_sink_partition();               // -1 = no sink
  *     u64   macross_capture_size(void* sink_handle);
  *     const u32* macross_capture_data(void* sink_handle);
+ *     void  macross_capture_consume(void* sink_handle);  // v4
  *
  * The host creates one partition instance per core, binds every
  * cross-core tape to an in-process interp::SpscRing via bindRing() —
@@ -47,9 +48,14 @@
  * (native_cache.h). The partition is part of the emitted source, so
  * the key covers it too.
  *
- * The captured sink stream is exported as raw 32-bit lanes and boxed
- * back into interp::Value with the sink tape's element type, so the
- * comparison against the bytecode VM and the tree executor is
+ * The captured sink stream leaves the object as raw 32-bit lanes. At
+ * every batch barrier (the end of init() and of endBatch()) the host
+ * appends the emitted sink's new lanes to its one log, an
+ * interp::CapturedStream typed with the sink tape's element type, and
+ * then calls macross_capture_consume, which clears the emitted buffer
+ * and keeps its capacity. The emitted side therefore holds at most
+ * one batch of output, the host log costs 4 bytes per element, and
+ * the comparison against the bytecode VM and the tree executor is
  * bit-exact, not approximate.
  *
  * Shutdown: SpscRing::abortWaits() makes emitted wait loops call the
@@ -67,7 +73,7 @@
 
 #include "codegen/simd_spec.h"
 #include "graph/flat_graph.h"
-#include "interp/value.h"
+#include "interp/captured_stream.h"
 #include "schedule/steady_state.h"
 #include "support/json.h"
 
@@ -233,18 +239,34 @@ class NativeProgram {
      */
     void endBatch();
 
-    /** Sink elements captured so far. Safe only at batch barriers. */
-    std::size_t capturedSize() const;
+    /**
+     * The host-side log of the sink stream: every element the emitted
+     * sink recorded up to the last batch barrier (init() or
+     * endBatch()), as raw lanes with the sink tape's element type
+     * (bit-exact against every serial engine). A batch that crashed
+     * never reaches it, so it is always a clean prefix of the serial
+     * stream. Read it only at batch barriers.
+     */
+    const interp::CapturedStream& captured() const { return captured_; }
 
     /**
-     * Box the sink elements past @p out's current size onto @p out,
-     * with the sink tape's element type (bit-exact against every
-     * serial engine). Safe only at batch barriers.
+     * Append the emitted sink's new lanes to captured(), then consume
+     * them in the emitted sink. init() and endBatch() do this; call it
+     * directly only with every partition parked after a dispatch that
+     * stopped without a crash in emitted code (a watchdog stall),
+     * whose partial output is still a clean prefix.
      */
-    void appendCaptured(std::vector<interp::Value>& out) const;
+    void exportCaptured();
 
-    /** The whole captured sink stream, boxed (see appendCaptured). */
-    std::vector<interp::Value> captured() const;
+    /** Total sink elements captured so far (captured().size()). */
+    std::size_t capturedSize() const { return captured_.size(); }
+
+    /**
+     * Lanes the emitted sink holds that the host log has not taken
+     * yet: 0 at every batch barrier, since each barrier exports and
+     * consumes them. Safe only at batch barriers.
+     */
+    std::size_t sinkResidentLanes() const;
 
     const NativeStats& stats() const { return stats_; }
 
@@ -288,6 +310,7 @@ class NativeProgram {
     int (*sinkPartition_)() = nullptr;
     unsigned long long (*captureSize_)(void*) = nullptr;
     const unsigned int* (*captureData_)(void*) = nullptr;
+    void (*captureConsume_)(void*) = nullptr;
 
     /** Binding structs live here: the emitted side keeps the pointer
      *  for the program's lifetime, so storage must never move. */
@@ -299,8 +322,9 @@ class NativeProgram {
     std::vector<double> wallMicros_;
     std::vector<std::int64_t> batches_;
     int cores_ = 0;
-    ir::Type sinkElem_{ir::Scalar::Int32, 1};
-    bool hasSink_ = false;
+    /** Core of the sink partition, or -1 without a sink. */
+    int sinkCore_ = -1;
+    interp::CapturedStream captured_;
     bool initDone_ = false;
     /** Quarantine sidecar cleared (endBatch, main thread only). */
     bool quarantineCleared_ = false;

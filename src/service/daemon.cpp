@@ -709,6 +709,7 @@ Daemon::processRun(Job& job)
             // tenants probing the same global site are untouched.
             struct FaultArm {
                 bool armed = false;
+                std::atomic<bool> fired{false};
                 ~FaultArm()
                 {
                     if (armed)
@@ -717,12 +718,15 @@ Daemon::processRun(Job& job)
                 }
             } arm;
             if (req.injectFault == "native-crash") {
+                // The signal guard leaves the crash by siglongjmp,
+                // past the injector's copy of this action, so the
+                // closure stays trivially copyable (std::function
+                // stores it inline; a heap copy would leak). Only the
+                // target thread, inside this call, touches `fired`.
                 auto target = std::this_thread::get_id();
-                auto fired =
-                    std::make_shared<std::atomic<bool>>(false);
                 support::FaultInjector::instance().arm(
                     "native.steady.crash",
-                    [target, fired](std::int64_t*) {
+                    [target, fired = &arm.fired](std::int64_t*) {
                         if (std::this_thread::get_id() != target)
                             return;
                         if (fired->exchange(true))
@@ -749,8 +753,8 @@ Daemon::processRun(Job& job)
         }
 
         // 5. Result: the steady-state delta this request produced.
-        const std::vector<interp::Value>& cap =
-            ctx->runner->captured();
+        const std::vector<std::uint32_t>& cap =
+            ctx->runner->captured().lanes();
         std::uint64_t checksum =
             checksumLanes(cap, ctx->capturedSeen);
         std::size_t firstNew = ctx->capturedSeen;

@@ -146,6 +146,24 @@ flattenLanes(const std::vector<interp::Value>& values,
     return out;
 }
 
+std::uint64_t checksumLanes(const std::vector<std::uint32_t>& lanes,
+                            std::size_t first)
+{
+    std::uint64_t sum = 0;
+    for (std::size_t i = first; i < lanes.size(); ++i)
+        sum += lanes[i];
+    return sum;
+}
+
+std::vector<std::uint32_t>
+flattenLanes(const std::vector<std::uint32_t>& lanes, std::size_t first)
+{
+    if (first >= lanes.size())
+        return {};
+    return {lanes.begin() + static_cast<std::ptrdiff_t>(first),
+            lanes.end()};
+}
+
 std::string hex64(std::uint64_t v)
 {
     char buf[17];

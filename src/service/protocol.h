@@ -117,6 +117,16 @@ std::vector<std::uint32_t>
 flattenLanes(const std::vector<interp::Value>& values,
              std::size_t first = 0);
 
+/** checksumLanes over a raw-lane stream (interp::CapturedStream's
+ *  lanes(), one lane per element). */
+std::uint64_t checksumLanes(const std::vector<std::uint32_t>& lanes,
+                            std::size_t first = 0);
+
+/** flattenLanes over a raw-lane stream: its lanes from @p first on. */
+std::vector<std::uint32_t>
+flattenLanes(const std::vector<std::uint32_t>& lanes,
+             std::size_t first = 0);
+
 /** 16 lowercase hex digits of @p v. */
 std::string hex64(std::uint64_t v);
 

@@ -132,7 +132,8 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
           "macross_create_partition", "macross_destroy_partition",
           "macross_ring_bind", "macross_init_all",
           "macross_run_steady_partition", "macross_sink_partition",
-          "macross_capture_size", "macross_capture_data"}) {
+          "macross_capture_size", "macross_capture_data",
+          "macross_capture_consume"}) {
         EXPECT_NE(src.find(sym), std::string::npos)
             << "missing ABI symbol " << sym;
     }
@@ -148,7 +149,7 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
     EXPECT_EQ(src.find("struct Partition1"), std::string::npos);
     // The introspection symbols report the spec this object was
     // emitted under.
-    EXPECT_NE(src.find("int macross_abi_version() { return 3; }"),
+    EXPECT_NE(src.find("int macross_abi_version() { return 4; }"),
               std::string::npos);
     EXPECT_NE(src.find("int macross_simd_lanes() { return 4; }"),
               std::string::npos);
@@ -265,8 +266,8 @@ expectEmittedMatchesInterpreter(const graph::StreamPtr& program,
     r.runInit();
     r.runSteady(iters);
     unsigned long long checksum = 0;
-    for (const auto& v : r.captured())
-        checksum += v.rawBits(0);
+    for (std::uint32_t lane : r.captured().lanes())
+        checksum += lane;
 
     char expected[128];
     std::snprintf(expected, sizeof(expected),
@@ -337,8 +338,8 @@ TEST(Codegen, EmittedSaguTransposedTapesMatch)
     r.runInit();
     r.runSteady(iters);
     unsigned long long checksum = 0;
-    for (const auto& v : r.captured())
-        checksum += v.rawBits(0);
+    for (std::uint32_t lane : r.captured().lanes())
+        checksum += lane;
     char expected[128];
     std::snprintf(expected, sizeof(expected),
                   "elements %zu checksum %016llx", r.captured().size(),
@@ -367,8 +368,8 @@ TEST(Codegen, ScalarFallbackLayerMatchesInterpreter)
     r.runInit();
     r.runSteady(iters);
     unsigned long long checksum = 0;
-    for (const auto& v : r.captured())
-        checksum += v.rawBits(0);
+    for (std::uint32_t lane : r.captured().lanes())
+        checksum += lane;
     char expected[128];
     std::snprintf(expected, sizeof(expected),
                   "elements %zu checksum %016llx", r.captured().size(),

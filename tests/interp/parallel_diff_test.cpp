@@ -24,7 +24,7 @@ namespace {
 constexpr int kIters = 10;
 
 struct SerialRun {
-    std::vector<Value> out;
+    CapturedStream out;
     std::vector<double> actorCycles;
     double attributed = 0.0;
 };

@@ -140,7 +140,7 @@ TEST(Tape, TransposeGuards)
 TEST(Tape, CaptureBufferSeesConsumptionOrder)
 {
     Tape t(ir::kFloat32);
-    std::vector<Value> seen;
+    CapturedStream seen(ir::kFloat32);
     t.setCaptureBuffer(&seen);
     for (int i = 0; i < 6; ++i)
         t.push(fv(static_cast<float>(i)));

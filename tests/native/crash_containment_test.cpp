@@ -89,18 +89,24 @@ class CrashContainment : public ::testing::Test {
     static constexpr long kAnyPartition = -1;
     void armSteadyCrash(long want_partition)
     {
-        auto fired = std::make_shared<std::atomic<bool>>(false);
+        crashFired_ = false;
+        // The signal guard unwinds the crash by siglongjmp, past the
+        // injector's local copy of this action: keep the closure
+        // trivially copyable and small enough for std::function's
+        // inline storage, or LeakSanitizer reports that copy.
         support::FaultInjector::instance().arm(
             "native.steady.crash",
-            [want_partition, fired](std::int64_t* value) {
+            [this, want_partition](std::int64_t* value) {
                 if (want_partition != kAnyPartition &&
                     (!value || *value != want_partition))
                     return;
-                if (fired->exchange(true))
+                if (crashFired_.exchange(true))
                     return;
                 raise(SIGSEGV);
             });
     }
+
+    std::atomic<bool> crashFired_{false};
 };
 
 TEST_F(CrashContainment, QuarantineSidecarRoundtrip)
@@ -235,6 +241,109 @@ TEST_F(CrashContainment, InjectedCrashDegradesSerialRunnerBitIdentical)
     EXPECT_EQ(faults->at(0).find("kind")->asString(), "crash");
     EXPECT_EQ(faults->at(0).find("signalName")->asString(),
               "SIGSEGV");
+}
+
+TEST_F(CrashContainment, CrashAfterConsumedBatchesVerifiesCleanPrefix)
+{
+    auto p = smallProgram();
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("serial_consumed");
+    config.degrade = interp::DegradeMode::Auto;
+    interp::Runner r(p.graph, p.schedule, nullptr, config);
+    r.runInit();
+    // Three healthy batches, each exported to the host log and
+    // consumed in the emitted sink.
+    for (int b = 0; b < 3; ++b) {
+        r.runSteady(2);
+        ASSERT_NE(r.nativeProgram(), nullptr);
+        EXPECT_EQ(r.nativeProgram()->sinkResidentLanes(), 0u);
+    }
+    const std::size_t beforeCrash = r.captured().size();
+    ASSERT_GT(beforeCrash, 0u);
+
+    armSteadyCrash(/*want_partition=*/0);
+    r.runSteady(2);
+    EXPECT_TRUE(r.degradedFromNative());
+    // The crashed batch never reached the log: the verified prefix is
+    // exactly the three consumed batches.
+    EXPECT_TRUE(r.degradeVerified());
+    EXPECT_EQ(r.verifiedElements(),
+              static_cast<std::int64_t>(beforeCrash));
+
+    interp::Runner vm(p.graph, p.schedule, nullptr,
+                      interp::EngineConfig(
+                          interp::ExecEngine::Bytecode));
+    vm.runInit();
+    vm.runSteady(8);
+    testutil::expectSameStream(vm.captured(), r.captured());
+}
+
+TEST_F(CrashContainment, AlwaysShadowChecksEveryBatchThenAbsorbsACrash)
+{
+    auto p = smallProgram();
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("always_shadow");
+    config.degrade = interp::DegradeMode::Always;
+    interp::Runner r(p.graph, p.schedule, nullptr, config);
+    r.runInit();
+    // Each batch is compared with the lockstep bytecode shadow (only
+    // the lanes it added); a divergence would be fatal here.
+    for (int b = 0; b < 3; ++b)
+        r.runSteady(2);
+    EXPECT_FALSE(r.degradedFromNative());
+    const std::size_t beforeCrash = r.captured().size();
+
+    // The warm shadow takes over without a replay, and the native log
+    // up to the crash verifies against it.
+    armSteadyCrash(/*want_partition=*/0);
+    r.runSteady(2);
+    EXPECT_TRUE(r.degradedFromNative());
+    EXPECT_TRUE(r.degradeVerified());
+    EXPECT_EQ(r.verifiedElements(),
+              static_cast<std::int64_t>(beforeCrash));
+
+    interp::Runner vm(p.graph, p.schedule, nullptr,
+                      interp::EngineConfig(
+                          interp::ExecEngine::Bytecode));
+    vm.runInit();
+    vm.runSteady(8);
+    testutil::expectSameStream(vm.captured(), r.captured());
+}
+
+TEST_F(CrashContainment, ParallelCrashAfterConsumedBatchesVerifiesPrefix)
+{
+    auto p = smallProgram();
+    multicore::Partition part = twoCorePartition(p);
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("parallel_consumed");
+    config.degrade = interp::DegradeMode::Auto;
+    interp::ParallelRunner pr(p.graph, p.schedule, part, nullptr,
+                              config);
+    pr.runInit();
+    for (int b = 0; b < 3; ++b) {
+        pr.runSteady(2);
+        ASSERT_NE(pr.nativeProgram(), nullptr);
+        EXPECT_EQ(pr.nativeProgram()->sinkResidentLanes(), 0u);
+    }
+    const std::size_t beforeCrash = pr.captured().size();
+    ASSERT_GT(beforeCrash, 0u);
+
+    armSteadyCrash(kAnyPartition);
+    pr.runSteady(2);
+    ASSERT_TRUE(pr.degradedToSerial());
+    ASSERT_GE(pr.faults().size(), 1u);
+    const interp::ParallelFault& f = pr.faults()[0];
+    EXPECT_EQ(f.kind, "nativeFault");
+    EXPECT_TRUE(f.cleanShutdown);
+    EXPECT_TRUE(f.fallbackVerified);
+    EXPECT_EQ(f.verifiedElements, static_cast<std::int64_t>(beforeCrash));
+
+    interp::Runner vm(p.graph, p.schedule, nullptr,
+                      interp::EngineConfig(
+                          interp::ExecEngine::Bytecode));
+    vm.runInit();
+    vm.runSteady(8);
+    testutil::expectSameStream(vm.captured(), pr.captured());
 }
 
 TEST_F(CrashContainment, InjectedCrashWithDegradeOffThrowsTyped)

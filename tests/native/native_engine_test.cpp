@@ -104,32 +104,33 @@ TEST(NativeEngine, CacheMissThenHit)
     testutil::expectSameStream(first.captured(), second.captured());
 }
 
-TEST(NativeEngine, AppendCapturedBoxesOnlyNewLanes)
+TEST(NativeEngine, BatchBarrierMovesSinkLanesToHostLog)
 {
     NativeOptions opts;
-    opts.cacheDir = freshCacheDir("append_captured");
+    opts.cacheDir = freshCacheDir("barrier_export");
     auto p = smallProgram();
     NativeProgram prog(p.graph, p.schedule, opts);
     prog.init();
+    EXPECT_EQ(prog.sinkResidentLanes(), 0u);
     prog.runSteady(2);
 
-    // The caller's elements stay as they are: only the lanes past its
-    // current size are boxed onto it.
-    std::vector<interp::Value> mirror = prog.captured();
-    ASSERT_GT(mirror.size(), 1u);
-    const interp::Value sentinel = interp::Value::makeInt(-12345);
-    mirror[0] = sentinel;
-    const std::size_t before = mirror.size();
-    prog.appendCaptured(mirror);
-    EXPECT_EQ(mirror.size(), before);
+    // Every barrier copies the emitted sink's new lanes into the host
+    // log and consumes them there; the log only ever grows at its end.
+    EXPECT_EQ(prog.sinkResidentLanes(), 0u);
+    const interp::CapturedStream first = prog.captured();
+    ASSERT_GT(first.size(), 1u);
+    EXPECT_EQ(prog.capturedSize(), first.size());
 
     prog.runSteady(3);
-    prog.appendCaptured(mirror);
-    ASSERT_EQ(mirror.size(), prog.capturedSize());
-    EXPECT_GT(mirror.size(), before);
-    EXPECT_EQ(mirror[0], sentinel);
-    mirror[0] = prog.captured()[0];
-    testutil::expectSameStream(prog.captured(), mirror);
+    EXPECT_EQ(prog.sinkResidentLanes(), 0u);
+    EXPECT_GT(prog.capturedSize(), first.size());
+    EXPECT_TRUE(first.isPrefixOf(prog.captured()));
+
+    // The same five iterations in one batch give the same stream.
+    NativeProgram once(p.graph, p.schedule, opts);
+    once.init();
+    once.runSteady(5);
+    testutil::expectSameStream(once.captured(), prog.captured());
 }
 
 TEST(NativeEngine, FlagsParticipateInCacheKey)
@@ -157,7 +158,7 @@ TEST(NativeEngine, CorruptedCacheEntryIsRecompiled)
     auto p = smallProgram();
 
     std::string soPath;
-    std::vector<interp::Value> reference;
+    interp::CapturedStream reference;
     {
         NativeProgram first(p.graph, p.schedule, opts);
         first.init();
@@ -245,25 +246,35 @@ TEST(NativeEngine, StaleAbiVersionIsFatal)
     // corrupted entry, this must NOT be silently recompiled — the
     // cache key covers the source, so version skew at this path means
     // the toolchain and the engine disagree about the contract.
-    const std::string stubCpp = opts.cacheDir + "/stale_stub.cpp";
-    {
-        std::ofstream out(stubCpp);
-        out << "extern \"C\" int macross_abi_version() { return 1; }\n";
-    }
-    fs::remove(soPath);
-    const std::string cmd = detectHostCompiler() +
-                            " -shared -fPIC -o '" + soPath + "' '" +
-                            stubCpp + "'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    // v1 is the oldest ABI; v3 lacks only macross_capture_consume,
+    // so it must be refused on its version, not on a missing symbol.
+    for (int stale : {1, 3}) {
+        const std::string stubCpp = opts.cacheDir + "/stale_stub.cpp";
+        {
+            std::ofstream out(stubCpp);
+            out << "extern \"C\" int macross_abi_version() { return "
+                << stale << "; }\n";
+        }
+        fs::remove(soPath);
+        const std::string cmd = detectHostCompiler() +
+                                " -shared -fPIC -o '" + soPath + "' '" +
+                                stubCpp + "'";
+        ASSERT_EQ(std::system(cmd.c_str()), 0);
 
-    try {
-        NativeProgram second(p.graph, p.schedule, opts);
-        FAIL() << "stale ABI stub was accepted";
-    } catch (const FatalError& e) {
-        const std::string msg = e.what();
-        // The error must name both versions.
-        EXPECT_NE(msg.find("ABI version 1"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("version 3"), std::string::npos) << msg;
+        try {
+            NativeProgram second(p.graph, p.schedule, opts);
+            FAIL() << "stale ABI v" << stale << " stub was accepted";
+        } catch (const FatalError& e) {
+            const std::string msg = e.what();
+            // The error must name both versions.
+            EXPECT_NE(msg.find("ABI version " + std::to_string(stale)),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("version " + std::to_string(
+                                   codegen::kNativeAbiVersion)),
+                      std::string::npos)
+                << msg;
+        }
     }
 }
 
@@ -353,7 +364,7 @@ TEST(NativeEngine, RunnerReportsNativeStatsJson)
     EXPECT_FALSE(nat->find("cacheHit")->asBool());
     EXPECT_GT(nat->find("compileMillis")->asDouble(), 0.0);
     EXPECT_GE(nat->find("steadyWallMicros")->asDouble(), 0.0);
-    EXPECT_EQ(nat->find("abiVersion")->asInt(), 3);
+    EXPECT_EQ(nat->find("abiVersion")->asInt(), 4);
     EXPECT_TRUE(nat->find("exact")->asBool());
     const json::Value* simd = nat->find("simd");
     ASSERT_NE(simd, nullptr);

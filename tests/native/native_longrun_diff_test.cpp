@@ -86,16 +86,14 @@ struct Digest {
 };
 
 Digest
-digest(const std::vector<Value>& captured)
+digest(const CapturedStream& captured)
 {
     Digest d;
     d.elements = captured.size();
     std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64.
-    for (const Value& v : captured) {
-        for (int l = 0; l < v.lanes(); ++l) {
-            h ^= v.rawBits(l);
-            h *= 1099511628211ull;
-        }
+    for (std::uint32_t lane : captured.lanes()) {
+        h ^= lane;
+        h *= 1099511628211ull;
     }
     d.checksum = h;
     return d;

@@ -198,13 +198,13 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     pr.runSteady(kIters);
 
     ASSERT_NE(pr.nativeStats(), nullptr);
-    EXPECT_EQ(pr.nativeStats()->abiVersion, 3);
+    EXPECT_EQ(pr.nativeStats()->abiVersion, 4);
 
     json::Value stats = pr.statsToJson();
     EXPECT_EQ(stats.find("engine")->asString(), "native");
     const json::Value* nat = stats.find("native");
     ASSERT_NE(nat, nullptr);
-    EXPECT_EQ(nat->find("abiVersion")->asInt(), 3);
+    EXPECT_EQ(nat->find("abiVersion")->asInt(), 4);
     EXPECT_FALSE(nat->find("compiler")->asString().empty());
     // The same build block a serial native run reports.
     ASSERT_NE(nat->find("coalesced"), nullptr);

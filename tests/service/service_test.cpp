@@ -81,7 +81,7 @@ serialLanes(const std::string& bench, const tuner::TuneConfig& cfg,
     r.runInit();
     std::size_t seen = r.captured().size();
     r.runSteady(iters);
-    return flattenLanes(r.captured(), seen);
+    return flattenLanes(r.captured().lanes(), seen);
 }
 
 Request runRequest(const std::string& bench, int iters,

@@ -37,6 +37,22 @@ expectSameStream(const std::vector<interp::Value>& a,
     }
 }
 
+/** Assert two captured streams have the same element type and the
+ *  same raw lanes. */
+inline void
+expectSameStream(const interp::CapturedStream& a,
+                 const interp::CapturedStream& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_TRUE(a.elemType() == b.elemType())
+        << "streams differ in element type";
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a.lanes()[i], b.lanes()[i])
+            << "streams diverge at element " << i << ": " << a[i].str()
+            << " vs " << b[i].str();
+    }
+}
+
 /**
  * Assert two captured streams agree within @p tol ULPs on float
  * elements and bit-exactly on integer elements. This is the

@@ -338,7 +338,7 @@ TEST(CliReport, NativeParallelRunReportsPartitionedStats)
     const json::Value* stats = nat.find("run")->find("stats");
     EXPECT_EQ(stats->find("engine")->asString(), "native");
     ASSERT_NE(stats->find("native"), nullptr);
-    EXPECT_EQ(stats->find("native")->find("abiVersion")->asInt(), 3);
+    EXPECT_EQ(stats->find("native")->find("abiVersion")->asInt(), 4);
     const json::Value* p = stats->find("parallel");
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->find("threads")->asInt(), 2);

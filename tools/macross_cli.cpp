@@ -16,6 +16,7 @@
  */
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -509,15 +510,16 @@ main(int argc, char** argv)
                 // real crash: the payload carries the partition id
                 // (0 for a serial run) and only a matching fire
                 // raises. raise() delivers the SIGSEGV on the firing
-                // thread, inside the signal guard.
-                auto fired =
-                    std::make_shared<std::atomic<bool>>(false);
+                // thread, inside the signal guard, which leaves by
+                // siglongjmp past the injector's copy of this action:
+                // the closure stays trivially copyable so that copy
+                // lives inline in the std::function instead of leaking.
+                static std::atomic<bool> fired{false};
                 support::FaultInjector::instance().arm(
-                    "native.steady.crash",
-                    [part, fired](std::int64_t* value) {
+                    "native.steady.crash", [part](std::int64_t* value) {
                         if (part >= 0 && (!value || *value != part))
                             return;
-                        if (fired->exchange(true))
+                        if (fired.exchange(true))
                             return;
                         raise(SIGSEGV);
                     });
@@ -791,31 +793,31 @@ main(int argc, char** argv)
                 interp::EngineConfig(interp::ExecEngine::Bytecode));
             ref.runInit();
             ref.runSteady(cfg.iters);
-            const auto& got = r.captured();
-            const auto& want = ref.captured();
+            const interp::CapturedStream& got = r.captured();
+            const interp::CapturedStream& want = ref.captured();
             fatalIf(got.size() != want.size(),
                     "ULP cross-check: native captured ", got.size(),
                     " elements but the bytecode VM captured ",
                     want.size());
+            const bool isFloat = got.elemType().isFloat();
             std::int64_t worst = 0;
             for (std::size_t i = 0; i < got.size(); ++i) {
-                for (int l = 0; l < got[i].lanes(); ++l) {
-                    std::int64_t d =
-                        got[i].type().isFloat()
-                            ? support::ulpDistance(got[i].f(l),
-                                                   want[i].f(l))
-                            : (got[i].rawBits(l) != want[i].rawBits(l)
-                                   ? std::numeric_limits<
-                                         std::int64_t>::max()
-                                   : 0);
-                    if (d > worst)
-                        worst = d;
-                    fatalIf(d > cfg.ulpTol,
-                            "ULP cross-check FAILED at element ", i,
-                            " lane ", l, ": native ", got[i].str(),
-                            " vs VM ", want[i].str(), " (", d,
-                            " ULPs apart, tolerance ", cfg.ulpTol,
-                            ")");
+                const std::uint32_t g = got.lanes()[i];
+                const std::uint32_t w = want.lanes()[i];
+                std::int64_t d =
+                    isFloat ? support::ulpDistance(
+                                  std::bit_cast<float>(g),
+                                  std::bit_cast<float>(w))
+                            : (g != w ? std::numeric_limits<
+                                            std::int64_t>::max()
+                                      : 0);
+                if (d > worst)
+                    worst = d;
+                if (d > cfg.ulpTol) {
+                    fatal("ULP cross-check FAILED at element ", i,
+                          ": native ", got[i].str(), " vs VM ",
+                          want[i].str(), " (", d,
+                          " ULPs apart, tolerance ", cfg.ulpTol, ")");
                 }
             }
             std::printf("ULP cross-check vs bytecode VM: %zu "
@@ -871,14 +873,7 @@ main(int argc, char** argv)
             par->runSteady(cfg.iters);
             par->setBaselineWallMicros(serialWallMicros);
 
-            bool identical =
-                par->captured().size() == r.captured().size();
-            for (std::size_t i = 0; identical &&
-                                    i < par->captured().size();
-                 ++i) {
-                identical = par->captured()[i].rawBits(0) ==
-                            r.captured()[i].rawBits(0);
-            }
+            const bool identical = par->captured() == r.captured();
             std::printf("\nparallel run on %d of %d cores:\n",
                         part.cores, cfg.threads);
             for (int c = 0; c < part.cores; ++c) {
