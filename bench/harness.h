@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -170,18 +171,20 @@ printTable(const std::string& title,
     for (const auto& c : columns)
         std::printf("%16s", c.c_str());
     std::printf("\n");
-    std::vector<double> sums(columns.size(), 0.0);
+    // Speedups are ratios, so the summary row is their geometric
+    // mean: the mean of the logs, exponentiated.
+    std::vector<double> logSums(columns.size(), 0.0);
     for (const auto& [name, vals] : rows) {
         std::printf("%-18s", name.c_str());
         for (std::size_t i = 0; i < vals.size(); ++i) {
             std::printf("%15.2fx", vals[i]);
-            sums[i] += vals[i];
+            logSums[i] += std::log(vals[i]);
         }
         std::printf("\n");
     }
-    std::printf("%-18s", "geomean/avg");
-    for (std::size_t i = 0; i < sums.size(); ++i)
-        std::printf("%15.2fx", sums[i] / rows.size());
+    std::printf("%-18s", "geomean");
+    for (std::size_t i = 0; i < logSums.size(); ++i)
+        std::printf("%15.2fx", std::exp(logSums[i] / rows.size()));
     std::printf("\n");
 
     if (benchJsonPath()) {

@@ -9,12 +9,12 @@
  * (including extract_even/odd and unpack) and — at SimdSpec lane
  * widths > 1 — are lowered onto real GCC/Clang extension vectors
  * (`ext_vector_type` on Clang, `vector_size` on GCC) rather than
- * scalar per-lane loops, tape FIFOs with the SAGU transposed
- * addressing where annotated (and contiguous vector copies on
- * untransposed vector endpoints), one struct per actor, and the
- * runtime state split along a multicore partition: one
- * `struct Partition<k>` per core, each owning its core's actors, its
- * intra-core tapes, and a ring-bindable Tape endpoint for every
+ * scalar per-lane loops, tape FIFOs typed at emission (element
+ * type, SAGU transpose rates and width, sink or not), one struct per
+ * actor, and the runtime state split along a multicore partition:
+ * one `struct Partition<k>` per core, each owning its core's actors,
+ * its intra-core tapes (write window reserved once per steady
+ * iteration, unchecked accessors), and a RingTape endpoint for every
  * cross-core tape. A serial program is the one-partition case (no
  * partition given: every actor on core 0, no crossing tape, and no
  * ring support compiled in). Two output shapes wrap the partitions:
@@ -35,7 +35,7 @@
  *    traffic follows the interpreter's protocol exactly: monotonic
  *    64-bit logical indexes, acquire/release index publication,
  *    block-granular publication on SAGU-transposed endpoints, and an
- *    exact flush at batch barriers.
+ *    exact tail flush at batch barriers.
  *
  * Both shapes must produce exactly the same output stream as the
  * interpreter (enforced by end-to-end tests and the native engine's

@@ -257,7 +257,8 @@ ParallelRunner::runSlice(int worker_id, Worker& w, int iterations)
             }
             // Chunk-end flushes: push out partial transposed blocks
             // (the consumer may need them before this worker's next
-            // block completes) and release everything consumed.
+            // block completes) and release everything consumed up to
+            // the head block.
             for (Tape* t : w.producedRings)
                 t->flushRingTail();
             for (Tape* t : w.consumedRings)

@@ -37,7 +37,7 @@ void
 Tape::flushRingHead()
 {
     if (ring_)
-        ring_->publishHeadExact(rp_);
+        ring_->publishHead(rp_);
 }
 
 std::uint32_t

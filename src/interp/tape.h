@@ -118,8 +118,12 @@ class Tape {
     /** Publish the exact write cursor, partial transpose blocks
      *  included (producer side, at iteration barriers only). */
     void flushRingTail();
-    /** Release the exact read cursor, partial transpose blocks
-     *  included (consumer side, at iteration barriers only). */
+    /** Release the read cursor, floored to the head block like every
+     *  other release (consumer side, at iteration barriers only). A
+     *  transposed reader still reads mapped slots behind its cursor
+     *  inside the current block, so releasing a partial block would
+     *  let the producer overwrite live slots; the ring's block slack
+     *  keeps the floor deadlock-free. */
     void flushRingHead();
 
     /**

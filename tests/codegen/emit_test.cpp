@@ -11,10 +11,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 
 #include "../test_util.h"
 #include "benchmarks/suite.h"
 #include "frontend/parser.h"
+#include "machine/cost_sink.h"
+#include "multicore/partition.h"
 
 namespace macross::codegen {
 namespace {
@@ -207,6 +210,147 @@ TEST(Codegen, RingSupportOnlyWithACrossingTape)
     EXPECT_THROW(
         emitCpp(compiled.graph, compiled.schedule, standalone),
         FatalError);
+}
+
+/** The brace-matched block that opens at the first '{' from @p at. */
+std::string
+braceBlock(const std::string& src, std::size_t at)
+{
+    const std::size_t open = src.find('{', at);
+    if (open == std::string::npos)
+        return {};
+    int depth = 0;
+    for (std::size_t i = open; i < src.size(); ++i) {
+        if (src[i] == '{')
+            ++depth;
+        else if (src[i] == '}' && --depth == 0)
+            return src.substr(open, i - open + 1);
+    }
+    return {};
+}
+
+/** @p block with its member function @p fn (signature and body) cut
+ *  out. */
+std::string
+withoutMember(std::string block, const std::string& fn)
+{
+    const std::size_t at = block.find(fn);
+    if (at == std::string::npos)
+        return block;
+    const std::string body = braceBlock(block, at);
+    return block.erase(at, block.find(body, at) + body.size() - at);
+}
+
+/**
+ * The shape every emitted tape must have: transposition and capture
+ * fixed at emission (no run-time rT/wT/record members), no resize
+ * reachable from a per-element or per-vector accessor (only the
+ * per-iteration reservation grows a buffer), no ring test in the
+ * intra-partition Tape, and each partition declaring its
+ * intra-partition tapes as Tape and its crossing endpoints as
+ * RingTape.
+ */
+void
+expectSpecialisedTapes(const std::string& src,
+                       const graph::FlatGraph& g,
+                       const std::vector<int>& coreOf, int cores)
+{
+    const std::regex runtimeMember(R"(\b(rT|wT|record)\b)");
+    EXPECT_FALSE(std::regex_search(src, runtimeMember));
+
+    const std::size_t tapeAt = src.find("struct Tape :");
+    ASSERT_NE(tapeAt, std::string::npos);
+    const std::string tape = std::regex_replace(
+        braceBlock(src, tapeAt), std::regex("//[^\\n]*"), "");
+    ASSERT_FALSE(tape.empty());
+    EXPECT_FALSE(std::regex_search(tape, std::regex(R"(\bring\b)")));
+    const std::string reserve =
+        braceBlock(tape, tape.find("void reserve("));
+    EXPECT_NE(reserve.find("tape_grow("), std::string::npos);
+    const std::string accessors = withoutMember(
+        withoutMember(tape, "void reserve("), "void next_iteration(");
+    for (const char* grows :
+         {"resize", "tape_grow", "reserve(", "next_iteration(", "at("})
+        EXPECT_EQ(accessors.find(grows), std::string::npos)
+            << grows << " reachable from a Tape accessor";
+    // The out-of-line grow is the only resize in the program, and the
+    // reservation is its only caller.
+    auto count = [&](const std::string& needle) {
+        int n = 0;
+        for (std::size_t at = src.find(needle); at != std::string::npos;
+             at = src.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("resize"), 1);
+    EXPECT_EQ(count("tape_grow("), 2);  // Its definition and one call.
+    // Only the sink tape's consumer endpoint records.
+    EXPECT_EQ(count(", true> tape"), 1);
+
+    for (int k = 0; k < cores; ++k) {
+        const std::string head =
+            "struct Partition" + std::to_string(k) + " ";
+        const std::size_t at = src.find(head);
+        ASSERT_NE(at, std::string::npos) << head;
+        const std::string part = braceBlock(src, at);
+        for (const auto& t : g.tapes) {
+            if (coreOf[t.src] != k && coreOf[t.dst] != k)
+                continue;
+            const bool local = coreOf[t.src] == coreOf[t.dst];
+            const std::regex member(
+                std::string(local ? "\\bTape<" : "\\bRingTape<") +
+                "[^;]*> tape" + std::to_string(t.id) + ";");
+            EXPECT_TRUE(std::regex_search(part, member))
+                << "tape" << t.id << " in partition " << k;
+            const std::string hook =
+                "tape" + std::to_string(t.id) + ".next_iteration(";
+            EXPECT_EQ(part.find(hook) != std::string::npos, local)
+                << hook;
+        }
+    }
+}
+
+// 12 suite programs x {macro, macro+sagu} x {serial, 2-partition
+// partitionGreedy}.
+TEST(Codegen, TapesAreSpecialisedAtEmission)
+{
+    bool crossed = false;
+    for (const auto& bench : benchmarks::standardSuite()) {
+        for (bool sagu : {false, true}) {
+            SCOPED_TRACE(bench.name + (sagu ? " macro+sagu" : " macro"));
+            vectorizer::SimdizeOptions vopts;
+            vopts.forceSimdize = true;
+            vopts.enableSagu = sagu;
+            vopts.machine = sagu ? machine::coreI7WithSagu()
+                                 : machine::coreI7();
+            auto p = vectorizer::macroSimdize(bench.program, vopts);
+
+            EmitOptions serial;
+            serial.mode = EmitMode::Library;
+            expectSpecialisedTapes(
+                emitCpp(p.graph, p.schedule, serial), p.graph,
+                std::vector<int>(p.graph.actors.size()), 1);
+
+            // Partition weights from a short modeled profiling run, as
+            // the CLI computes them for partitionGreedy.
+            machine::CostSink cost(vopts.machine);
+            interp::Runner profile(p.graph, p.schedule, &cost);
+            profile.runInit();
+            profile.runSteady(4);
+            std::vector<double> weights(p.graph.actors.size());
+            for (const auto& a : p.graph.actors)
+                weights[a.id] = cost.actorCycles(a.id);
+            multicore::Partition part = multicore::partitionGreedy(
+                p.graph, p.schedule, weights, 2);
+            EmitOptions two = serial;
+            two.partitionCores = part.cores;
+            two.partitionCoreOf = part.coreOf;
+            expectSpecialisedTapes(emitCpp(p.graph, p.schedule, two),
+                                   p.graph, part.coreOf, part.cores);
+            crossed |= part.cores == 2;
+        }
+    }
+    EXPECT_TRUE(crossed) << "no program split across two partitions";
 }
 
 /** Compile @p source with the host compiler and run it. */

@@ -13,9 +13,10 @@
  * configurations (SAGU puts transposed endpoints, and with them the
  * block-floored cut, on the intra-partition tapes), at lane widths
  * W=1 and W=4, run serially and over partitionGreedy at 2 and 4
- * cores; plus random macro+sagu programs whose transposed read
- * cursors sit mid-block at iteration boundaries, where the cut must
- * fall below rp.
+ * cores; plus random macro+sagu programs whose transposed cursors
+ * sit mid-block at iteration boundaries, where the cut must fall
+ * below rp and the live region must reach past wp (some of them
+ * serially only).
  */
 #include <gtest/gtest.h>
 
@@ -135,12 +136,14 @@ simdize(const graph::StreamPtr& program, bool sagu)
 /**
  * Run @p p for iterationsForCompactions() steady iterations on the
  * bytecode VM, then natively at W=1 and W=4, serially and over
- * partitionGreedy at 2 and 4 cores; every native capture must match
- * the VM's digest. @p m is the machine @p p was SIMDized for.
+ * partitionGreedy at each of @p threadCounts cores; every native
+ * capture must match the VM's digest. @p m is the machine @p p was
+ * SIMDized for.
  */
 void
 expectLongRunMatchesVm(const vectorizer::CompiledProgram& p,
-                       const machine::MachineDesc& m)
+                       const machine::MachineDesc& m,
+                       const std::vector<int>& threadCounts = {2, 4})
 {
     const std::int64_t iters = iterationsForCompactions(p);
     ::testing::Test::RecordProperty("iterations", std::to_string(iters));
@@ -174,7 +177,7 @@ expectLongRunMatchesVm(const vectorizer::CompiledProgram& p,
         serial.runSteady(iters);
         EXPECT_EQ(digest(serial.captured()), ref) << "serial";
 
-        for (int threads : {2, 4}) {
+        for (int threads : threadCounts) {
             SCOPED_TRACE(std::to_string(threads) + " cores");
             multicore::Partition part = multicore::partitionGreedy(
                 p.graph, p.schedule, weights, threads);
@@ -219,9 +222,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * True when some transposed tape's read cursor sits mid-block at a
- * steady-iteration boundary (after init, or after some number of
- * iterations), so the cut must be floored below rp.
+ * True when some transposed tape's read or write cursor sits mid-block
+ * at a steady-iteration boundary (after init, or after some number of
+ * iterations): a mid-block read cursor puts the cut below rp, a
+ * mid-block write cursor puts live elements past wp (the rest of its
+ * block was written ahead by the transposed walk).
  */
 bool
 hasMidBlockCursor(const vectorizer::CompiledProgram& p)
@@ -230,34 +235,53 @@ hasMidBlockCursor(const vectorizer::CompiledProgram& p)
         const std::int64_t block = cutBlock(t.transpose);
         if (block == 1)
             continue;
+        const std::int64_t push = p.graph.actor(t.src).pushRate(t.srcPort);
         const std::int64_t pop = p.graph.actor(t.dst).popRate(t.dstPort);
-        const std::int64_t initRp = p.schedule.initFires[t.dst] * pop;
-        const std::int64_t flow = p.schedule.reps[t.dst] * pop;
-        if (initRp % block != 0 || flow % block != 0)
-            return true;
+        for (std::int64_t cursor :
+             {p.schedule.initFires[t.dst] * pop, p.schedule.reps[t.dst] * pop,
+              p.schedule.initFires[t.src] * push,
+              p.schedule.reps[t.src] * push}) {
+            if (cursor % block != 0)
+                return true;
+        }
     }
     return false;
 }
 
-// In the suite programs every transposed tape's read cursor is
+// In the suite programs every transposed tape's cursors are
 // block-aligned whenever the tape compacts, so there the block floor
 // never moves the cut below rp. These random programs (macro+sagu)
-// put it mid-block: compacting at rp itself would split a transposed
-// block, and they diverge if the cut is not floored.
+// put a cursor mid-block: compacting at rp itself would split a
+// transposed block, and moving only up to wp would drop the rest of
+// a transposed write block, so they diverge unless both ends of the
+// live region are rounded to the block.
 class RandomNativeLongRun : public ::testing::TestWithParam<int> {};
+
+/** Seeds run serially and over 2 and 4 cores. */
+constexpr int kSeeds[] = {7000, 7017, 7053, 7056};
+/** Seeds run serially only: their parallel runs still hit the SAGU
+ *  crossing-ring bug (ROADMAP), which is not a compaction fault. */
+constexpr int kSerialSeeds[] = {7006, 7026, 7033, 7042};
 
 TEST_P(RandomNativeLongRun, MidBlockCutStaysBitIdenticalToVm)
 {
-    const std::uint64_t seed = GetParam();
+    const int seed = GetParam();
     SCOPED_TRACE("seed " + std::to_string(seed));
     vectorizer::CompiledProgram p =
         simdize(benchmarks::randomProgram(seed), true);
     ASSERT_TRUE(hasMidBlockCursor(p));
-    expectLongRunMatchesVm(p, machineFor(true));
+    const bool serialOnly =
+        std::find(std::begin(kSerialSeeds), std::end(kSerialSeeds),
+                  seed) != std::end(kSerialSeeds);
+    expectLongRunMatchesVm(p, machineFor(true),
+                           serialOnly ? std::vector<int>{}
+                                      : std::vector<int>{2, 4});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNativeLongRun,
-                         ::testing::Values(7000, 7017, 7053, 7056));
+                         ::testing::ValuesIn(kSeeds));
+INSTANTIATE_TEST_SUITE_P(SerialSeeds, RandomNativeLongRun,
+                         ::testing::ValuesIn(kSerialSeeds));
 
 } // namespace
 } // namespace macross::interp
